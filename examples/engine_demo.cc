@@ -232,7 +232,9 @@ int main(int argc, char** argv) {
   }
   std::printf("bit-flipped checkpoint rejected: %s\n",
               corrupt.ToString().c_str());
+  // The rejecting restore quarantined the corrupt file as *.corrupt, so
+  // that is the name left to clean up.
   std::remove(ckpt_path.c_str());
-  std::remove(corrupt_path.c_str());
+  std::remove((corrupt_path + ".corrupt").c_str());
   return 0;
 }

@@ -4,7 +4,7 @@
 // The paper's deployment — telemetry from millions of devices — makes
 // disconnects, stalled writers, and mid-write crashes the steady state,
 // so the recovery paths (client retry/resume, checkpoint generation
-// fallback, checkpointer retry) need a deliberate seam to be driven
+// fallback, sticky checkpoint errors) need a deliberate seam to be driven
 // through deterministically. A failpoint is that seam: code marks an
 // injection site with
 //

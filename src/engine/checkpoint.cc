@@ -4,7 +4,6 @@
 #include <bit>
 #include <cstring>
 #include <filesystem>
-#include <functional>
 
 #include "core/crc32c.h"
 #include "core/encoding.h"
@@ -390,14 +389,6 @@ StatusOr<std::vector<uint8_t>> EncodeCollectorCheckpoint(
   return out;
 }
 
-Status WriteCollectorCheckpoint(
-    const std::string& path,
-    const std::vector<CollectionCheckpoint>& collections) {
-  auto image = EncodeCollectorCheckpoint(collections);
-  if (!image.ok()) return image.status();
-  return WriteBinaryFileAtomic(path, *image);
-}
-
 StatusOr<std::vector<CollectionCheckpoint>> ReadCollectorCheckpoint(
     const std::string& path) {
   auto bytes = ReadBinaryFile(path);
@@ -408,25 +399,6 @@ StatusOr<std::vector<CollectionCheckpoint>> ReadCollectorCheckpoint(
                   path + ": " + collections.status().message());
   }
   return collections;
-}
-
-Status WriteCheckpoint(const std::string& path,
-                       const std::vector<AggregatorSnapshot>& snapshots) {
-  auto image = EncodeCheckpoint(snapshots);
-  if (!image.ok()) return image.status();
-  return WriteBinaryFileAtomic(path, *image);
-}
-
-StatusOr<std::vector<AggregatorSnapshot>> ReadCheckpoint(
-    const std::string& path) {
-  auto bytes = ReadBinaryFile(path);
-  if (!bytes.ok()) return bytes.status();
-  auto snapshots = DecodeCheckpoint(bytes->data(), bytes->size());
-  if (!snapshots.ok()) {
-    return Status(snapshots.status().code(),
-                  path + ": " + snapshots.status().message());
-  }
-  return snapshots;
 }
 
 std::string CheckpointGenerationPath(const std::string& path,
@@ -456,14 +428,10 @@ Status RotateCheckpointGenerations(const std::string& path, int generations) {
   return Status::OK();
 }
 
-namespace {
-
-/// Shared generation walk: `read` loads-and-validates one file. Corrupt
-/// files are quarantined; the newest clean one wins.
-template <typename T>
-StatusOr<T> ReadWithFallbackImpl(
-    const std::string& path, int generations, CheckpointFallbackInfo* info,
-    const std::function<StatusOr<T>(const std::string&)>& read) {
+StatusOr<std::vector<CollectionCheckpoint>>
+ReadCollectorCheckpointWithFallback(const std::string& path, int generations,
+                                    CheckpointFallbackInfo* info) {
+  // Corrupt files are quarantined; the newest clean one wins.
   namespace fs = std::filesystem;
   bool any_file = false;
   Status last_error;
@@ -471,7 +439,7 @@ StatusOr<T> ReadWithFallbackImpl(
        ++generation) {
     const std::string generation_path =
         CheckpointGenerationPath(path, generation);
-    auto result = read(generation_path);
+    auto result = ReadCollectorCheckpoint(generation_path);
     if (result.ok()) {
       if (info != nullptr) {
         info->generation = generation;
@@ -497,23 +465,6 @@ StatusOr<T> ReadWithFallbackImpl(
   return Status(last_error.code(),
                 "no restorable checkpoint generation at " + path + ": " +
                     last_error.message());
-}
-
-}  // namespace
-
-StatusOr<std::vector<CollectionCheckpoint>>
-ReadCollectorCheckpointWithFallback(const std::string& path, int generations,
-                                    CheckpointFallbackInfo* info) {
-  return ReadWithFallbackImpl<std::vector<CollectionCheckpoint>>(
-      path, generations, info,
-      [](const std::string& p) { return ReadCollectorCheckpoint(p); });
-}
-
-StatusOr<std::vector<AggregatorSnapshot>> ReadCheckpointWithFallback(
-    const std::string& path, int generations, CheckpointFallbackInfo* info) {
-  return ReadWithFallbackImpl<std::vector<AggregatorSnapshot>>(
-      path, generations, info,
-      [](const std::string& p) { return ReadCheckpoint(p); });
 }
 
 }  // namespace engine

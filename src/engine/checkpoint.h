@@ -1,7 +1,9 @@
 // Durable checkpointing of aggregator state: a versioned binary container
-// for std::vector<AggregatorSnapshot>, so a sharded engine can restart
-// without replaying the wire stream (docs/wire-format.md specifies every
-// byte).
+// for the per-shard AggregatorSnapshots of every collection, so a
+// Collector can restart without replaying the wire stream
+// (docs/wire-format.md specifies every byte). engine::Collector is the only
+// writer and reader of checkpoint files; ShardedAggregator only hands out
+// and takes back snapshots.
 //
 // Two container versions share the 20-byte header (all integers
 // little-endian, mirroring the u32 length-prefix framing of
@@ -13,7 +15,8 @@
 //     [12,16)  u32 record count (v1: snapshots S; v2: collections C)
 //     [16,20)  u32 CRC-32C over bytes [0,16)
 //
-// Version 1 — one anonymous collection (what ShardedAggregator writes):
+// Version 1 — one anonymous collection (written by older builds; still
+// restored, and produced by EncodeCheckpoint for fixtures):
 //   record, S times
 //     u32      payload length L
 //     L bytes  snapshot payload (SerializeSnapshot encoding)
@@ -38,8 +41,7 @@
 //
 // The snapshot payload is protocol-agnostic (the flattened accumulator
 // arrays of AggregatorSnapshot), so the container also checkpoints
-// protocols without a wire format (InpOLH, InpHTCMS) through the engine's
-// factory path.
+// protocols without a wire format (InpOLH, InpHTCMS).
 
 #ifndef LDPM_ENGINE_CHECKPOINT_H_
 #define LDPM_ENGINE_CHECKPOINT_H_
@@ -57,9 +59,9 @@ namespace engine {
 /// (the multi-collection container).
 inline constexpr uint32_t kCheckpointFormatVersion = 2;
 
-/// The single-collection container version (EncodeCheckpoint's output),
-/// kept as the write format of ShardedAggregator checkpoints so per-
-/// collection files stay restorable by older builds.
+/// The single-collection container version (EncodeCheckpoint's output).
+/// No production path writes it any more; the decoders keep reading it so
+/// files from older builds still restore.
 inline constexpr uint32_t kCheckpointFormatVersionV1 = 1;
 
 /// The 8 magic bytes at offset 0 of every checkpoint file.
@@ -84,9 +86,10 @@ StatusOr<AggregatorSnapshot> DeserializeSnapshot(const uint8_t* data,
                                                  size_t size);
 
 /// Encodes a single-collection (version 1) checkpoint image (header +
-/// records + checksums). InvalidArgument if the snapshot count or a record
-/// payload overflows the u32 framing fields (nothing unrestorable is ever
-/// produced).
+/// records + checksums) — the legacy format, kept for compatibility
+/// fixtures and fuzz seeds. InvalidArgument if the snapshot count or a
+/// record payload overflows the u32 framing fields (nothing unrestorable
+/// is ever produced).
 StatusOr<std::vector<uint8_t>> EncodeCheckpoint(
     const std::vector<AggregatorSnapshot>& snapshots);
 
@@ -110,26 +113,10 @@ StatusOr<std::vector<uint8_t>> EncodeCollectorCheckpoint(
 StatusOr<std::vector<CollectionCheckpoint>> DecodeCollectorCheckpoint(
     const uint8_t* data, size_t size);
 
-/// Encodes `collections` and atomically replaces `path` with the image.
-Status WriteCollectorCheckpoint(
-    const std::string& path,
-    const std::vector<CollectionCheckpoint>& collections);
-
 /// Reads and validates the checkpoint at `path` in either container
 /// version (see DecodeCollectorCheckpoint). NotFound if the file does not
 /// exist; InvalidArgument on any corruption.
 StatusOr<std::vector<CollectionCheckpoint>> ReadCollectorCheckpoint(
-    const std::string& path);
-
-/// Encodes `snapshots` and atomically replaces `path` with the image
-/// (write-rename via WriteBinaryFileAtomic), so a crash mid-checkpoint
-/// leaves the previous checkpoint intact.
-Status WriteCheckpoint(const std::string& path,
-                       const std::vector<AggregatorSnapshot>& snapshots);
-
-/// Reads and validates the checkpoint at `path`. NotFound if the file does
-/// not exist; InvalidArgument on any corruption.
-StatusOr<std::vector<AggregatorSnapshot>> ReadCheckpoint(
     const std::string& path);
 
 // ---- Checkpoint generations --------------------------------------------
@@ -163,19 +150,13 @@ struct CheckpointFallbackInfo {
   std::vector<std::string> quarantined;
 };
 
-/// Reads the newest restorable generation of a multi-collection
-/// checkpoint, quarantining corrupt generations along the way (see above).
-/// NotFound when no generation file exists at all; otherwise the last
-/// validation error when every existing generation is corrupt.
+/// Reads the newest restorable generation of a checkpoint in either
+/// container version, quarantining corrupt generations along the way (see
+/// above). NotFound when no generation file exists at all; otherwise the
+/// last validation error when every existing generation is corrupt.
 StatusOr<std::vector<CollectionCheckpoint>>
 ReadCollectorCheckpointWithFallback(const std::string& path, int generations,
                                     CheckpointFallbackInfo* info = nullptr);
-
-/// Single-collection (v1) variant of the fallback read, for
-/// ShardedAggregator-level checkpoints.
-StatusOr<std::vector<AggregatorSnapshot>> ReadCheckpointWithFallback(
-    const std::string& path, int generations,
-    CheckpointFallbackInfo* info = nullptr);
 
 }  // namespace engine
 }  // namespace ldpm

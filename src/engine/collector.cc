@@ -52,10 +52,6 @@ const ProtocolConfig& CollectionHandle::config() const {
   return collection_->config;
 }
 
-Status CollectionHandle::Ingest(const Report& report) {
-  return collection_->engine->Ingest(report);
-}
-
 Status CollectionHandle::IngestBatch(std::vector<Report> reports) {
   return collection_->engine->IngestBatch(std::move(reports));
 }
@@ -161,27 +157,19 @@ StatusOr<std::unique_ptr<Collector>> Collector::Create(
 Collector::~Collector() {
   if (options_.checkpoint_on_shutdown) {
     // Flush BEFORE the snapshot cut — a bare CheckpointTo would silently
-    // miss queued batches and coalescing-buffer tails — but best effort
-    // on BOTH steps, not Drain(): a flush error must not skip the write
-    // attempt. (A collection whose shards hold a sticky absorb error
-    // still fails the attempt inside CheckpointTo — the container write
-    // is all-or-nothing; see the ROADMAP limitation. Drain() reports the
-    // Status; use it when the result matters.)
+    // miss queued batches — but best effort on BOTH steps, not Drain(): a
+    // flush error must not skip the write attempt. (A collection whose
+    // shards hold a sticky absorb error still fails the attempt inside
+    // CheckpointTo — the container write is all-or-nothing; see the
+    // ROADMAP limitation. Drain() reports the Status; use it when the
+    // result matters.)
     (void)Flush();
     (void)CheckpointTo(options_.checkpoint_path);
   }
 }
 
-EngineOptions Collector::EffectiveOptions(const EngineOptions& base,
-                                          bool strip_checkpointing) const {
+EngineOptions Collector::EffectiveOptions(const EngineOptions& base) const {
   EngineOptions options = base;
-  if (strip_checkpointing) {
-    // The collector owns whole-container durability; per-collection
-    // checkpoint files only make sense as explicit Register overrides.
-    options.checkpoint_path.clear();
-    options.checkpoint_every_batches = 0;
-    options.checkpoint_on_shutdown = false;
-  }
   options.shared_budget = budget_;
   // Engines publish into the collector's registry (labeled by collection
   // id in RegisterInternal) unless an override brought its own.
@@ -193,8 +181,7 @@ StatusOr<CollectionHandle> Collector::Register(std::string id,
                                                ProtocolKind kind,
                                                const ProtocolConfig& config) {
   return RegisterInternal(std::move(id), kind, config,
-                          EffectiveOptions(options_.engine_defaults,
-                                           /*strip_checkpointing=*/true));
+                          EffectiveOptions(options_.engine_defaults));
 }
 
 StatusOr<CollectionHandle> Collector::Register(std::string id,
@@ -202,8 +189,7 @@ StatusOr<CollectionHandle> Collector::Register(std::string id,
                                                const ProtocolConfig& config,
                                                const EngineOptions& overrides) {
   return RegisterInternal(std::move(id), kind, config,
-                          EffectiveOptions(overrides,
-                                           /*strip_checkpointing=*/false));
+                          EffectiveOptions(overrides));
 }
 
 StatusOr<CollectionHandle> Collector::RegisterInternal(
@@ -221,11 +207,10 @@ StatusOr<CollectionHandle> Collector::RegisterInternal(
         std::to_string(kMaxCollectionIdBytes) + " bytes");
   }
   // The whole registration runs under the registry lock: the duplicate-id
-  // and thread-budget checks must precede engine construction (a rejected
-  // engine with checkpoint-on-shutdown overrides would otherwise clobber
-  // the LIVE collection's checkpoint file when its destructor runs), and
-  // nothing here calls back into the collector, so holding mu_ across the
-  // (rare, registration-time-only) engine build cannot deadlock.
+  // and thread-budget checks must precede engine construction (so a
+  // rejected registration never spawns shard workers), and nothing here
+  // calls back into the collector, so holding mu_ across the (rare,
+  // registration-time-only) engine build cannot deadlock.
   core::MutexLock lock(mu_);
   if (collections_.count(id) != 0) {
     return Status::AlreadyExists("Collector: collection \"" + id +
@@ -278,12 +263,11 @@ Status Collector::Unregister(std::string_view id) {
     collections_gauge_->Set(static_cast<int64_t>(collections_.size()));
   }
   // The release happens OUTSIDE mu_. When this was the last reference,
-  // the engine teardown drains its queues, joins every shard worker, and
-  // may write a per-collection shutdown checkpoint — arbitrarily slow work
-  // that must not stall concurrent Find/Query/Register on the registry
-  // lock. The thread budget is returned only AFTER the drop, so a racing
-  // Register cannot oversubscribe the cap while the old workers still
-  // run. (With outstanding handles the drop is trivially cheap — and the
+  // the engine teardown drains its queues and joins every shard worker —
+  // arbitrarily slow work that must not stall concurrent
+  // Find/Query/Register on the registry lock. The thread budget is
+  // returned only AFTER the drop, so a racing Register cannot
+  // oversubscribe the cap while the old workers still run. (With outstanding handles the drop is trivially cheap — and the
   // budget is returned while their engine lives on, as documented.)
   released.reset();
   {
@@ -432,8 +416,7 @@ Status Collector::CheckpointToInternal(const std::string& path) {
     entry.snapshots = *std::move(snapshots);
     checkpoint.push_back(std::move(entry));
   }
-  // Encode and write as separate steps (rather than through
-  // WriteCollectorCheckpoint) so the image size is observable.
+  // Encode and write as separate steps so the image size is observable.
   auto image = EncodeCollectorCheckpoint(checkpoint);
   if (!image.ok()) return image.status();
   LDPM_RETURN_IF_ERROR(
@@ -441,39 +424,16 @@ Status Collector::CheckpointToInternal(const std::string& path) {
   LDPM_RETURN_IF_ERROR(WriteBinaryFileAtomic(path, *image));
   ckpt_writes_total_->Increment();
   ckpt_bytes_total_->Increment(image->size());
-  container_checkpoints_written_.fetch_add(1, std::memory_order_relaxed);
   return Status::OK();
 }
 
 uint64_t Collector::checkpoints_written() const {
-  uint64_t total =
-      container_checkpoints_written_.load(std::memory_order_relaxed);
-  core::MutexLock lock(mu_);
-  for (const auto& [id, collection] : collections_) {
-    total += collection->engine->checkpoints_written();
-  }
-  return total;
+  return ckpt_writes_total_->Value();
 }
 
 Status Collector::LastCheckpointError() const {
-  {
-    core::MutexLock lock(ckpt_mu_);
-    if (!ckpt_error_.ok()) return ckpt_error_;
-  }
-  std::vector<std::shared_ptr<CollectionHandle::Collection>> live;
-  {
-    core::MutexLock lock(mu_);
-    live.reserve(collections_.size());
-    for (const auto& [id, collection] : collections_) live.push_back(collection);
-  }
-  for (const auto& collection : live) {
-    Status status = collection->engine->LastCheckpointError();
-    if (!status.ok()) {
-      return Status(status.code(), "collection \"" + collection->id +
-                                       "\": " + status.message());
-    }
-  }
-  return Status::OK();
+  core::MutexLock lock(ckpt_mu_);
+  return ckpt_error_;
 }
 
 Status Collector::Checkpoint() {

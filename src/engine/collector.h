@@ -13,12 +13,15 @@
 //   * a backpressure budget: one IngestBudget bounds in-flight work items
 //     across ALL collections, so a burst on any subset of streams shares
 //     one memory bound (CollectorOptions::max_pending_batches_total);
-//   * durability: CheckpointTo/RestoreFrom persist and restore every
+//   * durability: the Collector is the only code that writes or reads
+//     checkpoint files. CheckpointTo/RestoreFrom persist and restore every
 //     collection atomically in one version-2 container file
 //     (engine/checkpoint.h); single-collection v1 files still restore.
+//     Periodic checkpoints are the caller's: call Checkpoint() on a timer
+//     and watch LastCheckpointError().
 //
 // Ingest is either per-collection through a typed CollectionHandle
-// (Ingest / IngestBatch / IngestWireBatch / rows) or multiplexed:
+// (IngestBatch / IngestWireBatch / rows) or multiplexed:
 // IngestFrames routes a stream of self-describing collection frames
 // (protocols/wire.h) to the right aggregators, so one socket or file can
 // interleave every registered stream straight into the zero-copy wire
@@ -30,7 +33,6 @@
 #ifndef LDPM_ENGINE_COLLECTOR_H_
 #define LDPM_ENGINE_COLLECTOR_H_
 
-#include <atomic>
 #include <map>
 #include <memory>
 #include <string>
@@ -47,9 +49,6 @@ namespace engine {
 /// Collector-wide configuration.
 struct CollectorOptions {
   /// Per-collection engine defaults; Register overrides may replace them.
-  /// The checkpoint fields of the defaults are ignored — durability of the
-  /// whole collector is owned by the options below (explicit Register
-  /// overrides may still configure per-collection checkpoint files).
   EngineOptions engine_defaults;
   /// Cap on the sum of shard worker threads across live collections;
   /// 0 = unbounded. Register fails with ResourceExhausted beyond it.
@@ -93,7 +92,6 @@ class CollectionHandle {
   const ProtocolConfig& config() const;
 
   // Ingest — see the ShardedAggregator methods of the same names.
-  Status Ingest(const Report& report);
   Status IngestBatch(std::vector<Report> reports);
   Status IngestWireBatch(std::vector<uint8_t> frame);
   Status IngestRows(std::vector<uint64_t> rows, bool fast_path = false);
@@ -148,8 +146,8 @@ class Collector {
   StatusOr<CollectionHandle> Register(std::string id, ProtocolKind kind,
                                       const ProtocolConfig& config);
 
-  /// Same, with explicit per-collection EngineOptions (shard count, batch
-  /// sizes, per-collection checkpoint file, ...). The collector's shared
+  /// Same, with explicit per-collection EngineOptions (shard count, queue
+  /// bound, metrics, ...). The collector's shared
   /// backpressure budget is installed regardless, and the engine seed is
   /// still decorrelated per collection (a deterministic function of
   /// overrides.seed and the id), so same-config collections never share
@@ -190,17 +188,14 @@ class Collector {
   /// lifetime. Wire a net::StatsServer to this to expose /stats.
   obs::MetricsRegistry* metrics() const { return metrics_; }
 
-  /// Checkpoints written since construction: successful CheckpointTo /
-  /// Checkpoint / Drain / shutdown container writes, plus the background
-  /// checkpoints of every live collection engine (per-collection cadence
-  /// overrides). Unregistered collections' counts drop out.
+  /// Successful CheckpointTo / Checkpoint / Drain / shutdown writes: the
+  /// value of ldpm_collector_checkpoint_writes_total.
   uint64_t checkpoints_written() const;
 
-  /// Most recent unresolved checkpoint error: a collector-level container
-  /// write failure stays sticky until the next successful container write
-  /// clears it; after that, the first live engine's unresolved
-  /// background-checkpointer error (same clear-on-success rule) is
-  /// reported. OK when the durable state is current.
+  /// Most recent unresolved checkpoint error: a failed write stays sticky
+  /// until the next successful write clears it. OK when the durable state
+  /// is current. A caller driving Checkpoint() from a timer retries by
+  /// simply calling it again; surface this on the health endpoint.
   Status LastCheckpointError() const;
 
   // ---- Multiplexed ingest ------------------------------------------------
@@ -278,9 +273,8 @@ class Collector {
   explicit Collector(const CollectorOptions& options);
 
   /// Effective per-collection engine options: install the shared budget
-  /// and (for defaults) strip collector-owned checkpoint fields.
-  EngineOptions EffectiveOptions(const EngineOptions& base,
-                                 bool strip_checkpointing) const;
+  /// and the collector's registry.
+  EngineOptions EffectiveOptions(const EngineOptions& base) const;
 
   StatusOr<CollectionHandle> RegisterInternal(std::string id,
                                               ProtocolKind kind,
@@ -314,11 +308,9 @@ class Collector {
       collections_ LDPM_GUARDED_BY(mu_);
   int threads_in_use_ LDPM_GUARDED_BY(mu_) = 0;
 
-  /// Collector-level checkpoint outcomes (see checkpoints_written /
-  /// LastCheckpointError); engines keep their own.
+  /// The sticky checkpoint outcome (see LastCheckpointError).
   mutable core::Mutex ckpt_mu_;
   Status ckpt_error_ LDPM_GUARDED_BY(ckpt_mu_);
-  std::atomic<uint64_t> container_checkpoints_written_{0};
 };
 
 }  // namespace engine

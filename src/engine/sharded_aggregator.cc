@@ -5,9 +5,6 @@
 #include <string>
 #include <utility>
 
-#include "core/file_io.h"
-#include "engine/checkpoint.h"
-
 namespace ldpm {
 namespace engine {
 
@@ -54,19 +51,9 @@ StatusOr<std::unique_ptr<ShardedAggregator>> ShardedAggregator::Create(
         std::to_string(kMaxShards) + "], got " +
         std::to_string(options.num_shards));
   }
-  if (options.batch_size < 1 || options.max_pending_batches < 1) {
+  if (options.max_pending_batches < 1) {
     return Status::InvalidArgument(
-        "ShardedAggregator: batch_size and max_pending_batches must be >= 1");
-  }
-  if (options.checkpoint_every_batches > 0 && options.checkpoint_path.empty()) {
-    return Status::InvalidArgument(
-        "ShardedAggregator: checkpoint_every_batches > 0 requires a "
-        "checkpoint_path");
-  }
-  if (options.checkpoint_on_shutdown && options.checkpoint_path.empty()) {
-    return Status::InvalidArgument(
-        "ShardedAggregator: checkpoint_on_shutdown requires a "
-        "checkpoint_path");
+        "ShardedAggregator: max_pending_batches must be >= 1");
   }
   // Build every shard aggregator up front so a bad factory/config fails the
   // construction rather than the first ingest.
@@ -94,10 +81,6 @@ StatusOr<std::unique_ptr<ShardedAggregator>> ShardedAggregator::Create(
     s->worker = std::thread([engine_ptr = engine.get(), s] {
       engine_ptr->WorkerLoop(*s);
     });
-  }
-  if (options.checkpoint_every_batches > 0) {
-    engine->checkpoint_worker_ = std::thread(
-        [engine_ptr = engine.get()] { engine_ptr->CheckpointLoop(); });
   }
   return engine;
 }
@@ -129,18 +112,6 @@ void ShardedAggregator::InitMetrics() {
   budget_wait_ = metrics_->GetHistogram(
       MetricName("ldpm_engine_budget_wait_ns", id), obs::LatencyBuckets(),
       "Producer wait for a shared ingest-budget slot");
-  ckpt_writes_total_ = metrics_->GetCounter(
-      MetricName("ldpm_engine_checkpoint_writes_total", id),
-      "Successful checkpoint writes (explicit, background, shutdown)");
-  ckpt_errors_total_ = metrics_->GetCounter(
-      MetricName("ldpm_engine_checkpoint_errors_total", id),
-      "Failed checkpoint write attempts");
-  ckpt_bytes_total_ = metrics_->GetCounter(
-      MetricName("ldpm_engine_checkpoint_bytes_total", id),
-      "Encoded checkpoint bytes successfully written");
-  ckpt_duration_ = metrics_->GetHistogram(
-      MetricName("ldpm_engine_checkpoint_duration_ns", id),
-      obs::LatencyBuckets(), "Checkpoint capture+encode+write duration");
   for (size_t s = 0; s < shards_.size(); ++s) {
     shards_[s]->queue_depth = metrics_->GetGauge(
         ShardMetricName("ldpm_engine_queue_depth", id, s),
@@ -153,31 +124,13 @@ void ShardedAggregator::InitMetrics() {
   // programmer error (two subsystems fighting over one series name), not
   // a recoverable state, so fail loudly at construction.
   LDPM_CHECK(reports_total_ && batches_total_ && report_bits_total_ &&
-             absorb_latency_ && budget_wait_ && ckpt_writes_total_ &&
-             ckpt_errors_total_ && ckpt_bytes_total_ && ckpt_duration_);
+             absorb_latency_ && budget_wait_);
 }
 
 ShardedAggregator::~ShardedAggregator() {
-  // Push the single-report coalescing buffer while the workers still run:
-  // the shutdown checkpoint below must contain the tail of the stream, not
-  // lose up to batch_size - 1 buffered reports.
-  (void)FlushPending();
-  // Stop the checkpointer first so it cannot observe shards mid-teardown.
-  {
-    core::MutexLock lock(ckpt_mu_);
-    ckpt_stop_ = true;
-  }
-  ckpt_cv_.NotifyAll();
-  if (checkpoint_worker_.joinable()) checkpoint_worker_.join();
   for (auto& shard : shards_) shard->queue.Close();
   for (auto& shard : shards_) {
     if (shard->worker.joinable()) shard->worker.join();
-  }
-  // Final durable cut after every worker has stopped mutating state. Best
-  // effort by necessity (a destructor cannot report); call Drain() first
-  // when the write's Status matters.
-  if (options_.checkpoint_on_shutdown) {
-    (void)WriteCheckpointNow(options_.checkpoint_path);
   }
 }
 
@@ -240,21 +193,6 @@ void ShardedAggregator::NoteIngestStarted() {
   }
 }
 
-Status ShardedAggregator::Ingest(const Report& report) {
-  std::vector<Report> ready;
-  {
-    core::MutexLock lock(pending_mu_);
-    pending_.push_back(report);
-    if (pending_.size() < options_.batch_size) {
-      NoteIngestStarted();
-      return Status::OK();
-    }
-    ready = std::move(pending_);
-    pending_.clear();
-  }
-  return IngestBatch(std::move(ready));
-}
-
 Status ShardedAggregator::EnqueueWork(WorkItem item) {
   const size_t target =
       next_shard_.fetch_add(1, std::memory_order_relaxed) % shards_.size();
@@ -272,8 +210,10 @@ Status ShardedAggregator::EnqueueWork(WorkItem item) {
     return Status::FailedPrecondition(
         "ShardedAggregator: engine is shutting down");
   }
+  // After the push, never before: MarginalCache reads this counter as its
+  // freshness watermark, and a watermark ahead of the queue would let a
+  // rebuild record a batch its flush could not yet see.
   batches_total_->Increment();
-  MaybeWakeCheckpointer();
   return Status::OK();
 }
 
@@ -319,18 +259,7 @@ Status ShardedAggregator::IngestPopulation(const std::vector<uint64_t>& rows,
   return Status::OK();
 }
 
-Status ShardedAggregator::FlushPending() {
-  std::vector<Report> ready;
-  {
-    core::MutexLock lock(pending_mu_);
-    if (pending_.empty()) return Status::OK();
-    ready = std::move(pending_);
-    pending_.clear();
-  }
-  return IngestBatch(std::move(ready));
-}
-
-Status ShardedAggregator::DrainAndCollectErrors() {
+Status ShardedAggregator::Flush() {
   for (auto& shard : shards_) shard->queue.WaitDrained();
   for (size_t s = 0; s < shards_.size(); ++s) {
     core::MutexLock state_lock(shards_[s]->state_mu);
@@ -343,28 +272,13 @@ Status ShardedAggregator::DrainAndCollectErrors() {
   return Status::OK();
 }
 
-Status ShardedAggregator::Flush() {
-  LDPM_RETURN_IF_ERROR(FlushPending());
-  return DrainAndCollectErrors();
-}
-
-Status ShardedAggregator::Drain() {
-  LDPM_RETURN_IF_ERROR(Flush());
-  if (options_.checkpoint_on_shutdown) {
-    return WriteCheckpointNow(options_.checkpoint_path);
-  }
-  return Status::OK();
-}
-
 StatusOr<const MarginalProtocol*> ShardedAggregator::Merged() {
   core::MutexLock merge_lock(merge_mu_);
-  // Push the coalescing buffer first (it bumps the epoch), THEN record the
-  // epoch, then drain: work that lands during the drain or the merge is
-  // included in the shard states we read but not in the recorded epoch, so
-  // the next query conservatively rebuilds.
-  LDPM_RETURN_IF_ERROR(FlushPending());
+  // Record the epoch, then drain: work that lands during the drain or the
+  // merge is included in the shard states we read but not in the recorded
+  // epoch, so the next query conservatively rebuilds.
   const uint64_t epoch = ingest_epoch_.load(std::memory_order_acquire);
-  LDPM_RETURN_IF_ERROR(DrainAndCollectErrors());
+  LDPM_RETURN_IF_ERROR(Flush());
   if (merged_ == nullptr || merged_epoch_ != epoch) {
     auto merged = factory_();
     if (!merged.ok()) return merged.status();
@@ -466,124 +380,7 @@ Status ShardedAggregator::RestoreShards(
   return Status::OK();
 }
 
-Status ShardedAggregator::CheckpointTo(const std::string& path) {
-  // The flush barrier makes the checkpoint an exact cut: everything
-  // enqueued before this call is in the written state.
-  LDPM_RETURN_IF_ERROR(Flush());
-  return WriteCheckpointNow(path);
-}
-
-Status ShardedAggregator::RestoreFrom(const std::string& path) {
-  // Walk the generations newest-to-oldest: a corrupt newest checkpoint
-  // (torn write, bit rot) falls back to the previous one instead of
-  // failing the restart, and the corrupt file is quarantined as
-  // *.corrupt.
-  auto snapshots =
-      ReadCheckpointWithFallback(path, options_.checkpoint_generations);
-  if (!snapshots.ok()) return snapshots.status();
-  return RestoreShards(*snapshots);
-}
-
-Status ShardedAggregator::LastCheckpointError() {
-  core::MutexLock lock(ckpt_mu_);
-  return ckpt_error_;
-}
-
-Status ShardedAggregator::WriteCheckpointNow(const std::string& path) {
-  obs::ScopedTimer ckpt_timer(ckpt_duration_);
-  std::vector<AggregatorSnapshot> snapshots;
-  snapshots.reserve(shards_.size());
-  {
-    core::MutexLock cut_lock(state_cut_mu_);
-    for (auto& shard : shards_) {
-      core::MutexLock state_lock(shard->state_mu);
-      snapshots.push_back(shard->protocol->Snapshot());
-    }
-  }
-  // The disk write happens outside the cut lock: only the in-memory
-  // capture needs atomicity against Reset/RestoreShards. Encode and write
-  // as separate steps so the image size is observable.
-  auto image = EncodeCheckpoint(snapshots);
-  Status status = image.status();
-  if (status.ok()) {
-    status = RotateCheckpointGenerations(path, options_.checkpoint_generations);
-  }
-  if (status.ok()) status = WriteBinaryFileAtomic(path, *image);
-  if (status.ok()) {
-    ckpt_writes_total_->Increment();
-    ckpt_bytes_total_->Increment(image->size());
-  } else {
-    ckpt_errors_total_->Increment();
-  }
-  return status;
-}
-
-void ShardedAggregator::MaybeWakeCheckpointer() {
-  if (options_.checkpoint_every_batches == 0) return;
-  if (batches_total_->Value() -
-          last_checkpoint_batches_.load(std::memory_order_relaxed) >=
-      options_.checkpoint_every_batches) {
-    // Synchronize through the mutex so the wakeup cannot slip between the
-    // checkpointer's predicate check and its wait (same pattern as
-    // ShardQueue::WakeIdleConsumer). Uncontended except in the short
-    // window between crossing the cadence and the checkpoint starting.
-    { core::MutexLock lock(ckpt_mu_); }
-    ckpt_cv_.NotifyOne();
-  }
-}
-
-void ShardedAggregator::CheckpointLoop() {
-  core::ReleasableMutexLock lock(ckpt_mu_);
-  auto backoff = options_.checkpoint_retry_initial_backoff;
-  bool retrying = false;
-  for (;;) {
-    if (retrying) {
-      // The last write failed (disk full, transient I/O error): hold the
-      // trigger and retry after a capped backoff instead of waiting for
-      // the next cadence crossing — the failed interval's data is exactly
-      // what a crash would lose. Stop-aware: shutdown interrupts the wait.
-      const auto deadline = std::chrono::steady_clock::now() + backoff;
-      while (!ckpt_stop_) {
-        const auto now = std::chrono::steady_clock::now();
-        if (now >= deadline) break;
-        ckpt_cv_.WaitFor(ckpt_mu_, deadline - now);
-      }
-    } else {
-      while (!ckpt_stop_ &&
-             batches_total_->Value() -
-                     last_checkpoint_batches_.load(std::memory_order_relaxed) <
-                 options_.checkpoint_every_batches) {
-        ckpt_cv_.Wait(ckpt_mu_);
-      }
-    }
-    if (ckpt_stop_) return;
-    // Record the trigger point before writing so a steady ingest stream
-    // produces one checkpoint per cadence interval, not one per batch.
-    last_checkpoint_batches_.store(batches_total_->Value(),
-                                   std::memory_order_relaxed);
-    lock.Release();
-    // Without a flush barrier: the background checkpoint is a consistent
-    // per-shard prefix of the stream (each shard snapshot is atomic with
-    // respect to work items), captured and written while ingest continues.
-    Status status = WriteCheckpointNow(options_.checkpoint_path);
-    lock.Reacquire();
-    if (status.ok()) {
-      checkpoints_written_.fetch_add(1, std::memory_order_relaxed);
-      // The durable state on disk is current again; an error left sticky
-      // here would outlive the condition it reported.
-      ckpt_error_ = Status::OK();
-      retrying = false;
-      backoff = options_.checkpoint_retry_initial_backoff;
-    } else {
-      ckpt_error_ = std::move(status);
-      retrying = true;
-      backoff = std::min(backoff * 2, options_.checkpoint_retry_max_backoff);
-    }
-  }
-}
-
 Status ShardedAggregator::Reset() {
-  LDPM_RETURN_IF_ERROR(FlushPending());
   for (auto& shard : shards_) shard->queue.WaitDrained();
   {
     core::MutexLock cut_lock(state_cut_mu_);
@@ -594,15 +391,6 @@ Status ShardedAggregator::Reset() {
     }
   }
   ingest_epoch_.fetch_add(1, std::memory_order_acq_rel);
-  {
-    // The registry counter stays monotonic across Reset (the Prometheus
-    // contract), so restart the cadence from its current value instead of
-    // zeroing; the unsigned difference can never wrap.
-    core::MutexLock ckpt_lock(ckpt_mu_);
-    last_checkpoint_batches_.store(batches_total_->Value(),
-                                   std::memory_order_relaxed);
-    ckpt_error_ = Status::OK();
-  }
   {
     core::MutexLock merge_lock(merge_mu_);
     merged_.reset();

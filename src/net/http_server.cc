@@ -186,12 +186,14 @@ void HttpServer::ServeOne(Socket socket) {
     response = handler_(parsed);
   }
   const std::string rendered = RenderHttpResponse(response);
-  (void)socket.WriteAll(reinterpret_cast<const uint8_t*>(rendered.data()),
-                        rendered.size());
+  // Count before writing: a client holding the response must already see
+  // its request in requests_served() and the registry counter.
   requests_served_.fetch_add(1, std::memory_order_relaxed);
   if (options_.requests_counter != nullptr) {
     options_.requests_counter->Increment();
   }
+  (void)socket.WriteAll(reinterpret_cast<const uint8_t*>(rendered.data()),
+                        rendered.size());
   {
     core::MutexLock lock(active_mu_);
     active_ = nullptr;

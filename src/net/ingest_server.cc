@@ -231,14 +231,18 @@ void IngestServer::AcceptLoop() {
       outcome.status = Status::ResourceExhausted(
           "IngestServer: connection limit (" +
           std::to_string(options_.max_connections) + ") reached");
+      // Count before replying: a client that has read the rejection must
+      // already see it in stats() and /metrics.
+      connections_shed_->Increment();
       SendReply(*accepted, outcome, 0, 0);
       drain_available();
-      connections_shed_->Increment();
       continue;
     }
+    // Count before the reader exists: it is the reader's hello and replies
+    // that make the acceptance visible to the client.
+    connections_accepted_->Increment();
     connection->reader = std::thread(
         [this, connection] { ServeConnection(*connection); });
-    connections_accepted_->Increment();
   }
 }
 
@@ -262,12 +266,15 @@ void IngestServer::ServeConnection(Connection& connection) {
   if (outcome.status.code() == StatusCode::kDeadlineExceeded) {
     connections_reaped_->Increment();
   }
+  // The stream is over once its outcome is known; drop the gauge before
+  // the reply, so a client that has read its reply never sees itself as
+  // still active.
+  connections_active_->Add(-1);
   if (outcome.status.code() == StatusCode::kUnavailable) {
     // The transport itself failed (peer reset, injected connection drop):
     // there is no one to reply to, and a reply record would read as a
     // server verdict to a resuming client. Reset and move on.
     connection.socket.CloseWithReset();
-    connections_active_->Add(-1);
     connection.finished.store(true, std::memory_order_release);
     return;
   }
@@ -288,7 +295,6 @@ void IngestServer::ServeConnection(Connection& connection) {
     }
   }
   (void)connection.socket.Shutdown();
-  connections_active_->Add(-1);
   connection.finished.store(true, std::memory_order_release);
 }
 
@@ -590,6 +596,9 @@ IngestServer::StreamOutcome IngestServer::ServeStreamBody(
       uint8_t ack[9];
       ack[0] = kReplyAck;
       WriteU64(consumed, ack + 1);
+      // Count before writing, so the counter never trails an ack the
+      // client holds; a failed write ends the connection right below.
+      acks_sent_->Increment();
       Status ack_write =
           socket.WriteAll(ack, sizeof(ack), options_.reply_write_timeout);
       if (!ack_write.ok()) {
@@ -598,7 +607,6 @@ IngestServer::StreamOutcome IngestServer::ServeStreamBody(
         outcome.stream_offset = consumed;
         return outcome;
       }
-      acks_sent_->Increment();
     }
     if (!scan.ok()) {
       // Structurally unrepairable (empty collection id): the offending

@@ -1,16 +1,15 @@
 // Checkpoint subsystem tests: snapshot payload round trips per protocol,
-// whole-file round trips through the engine (same and different shard
-// counts), rejection of truncated / bit-flipped / wrong-version files, and
-// the background checkpoint cadence.
+// whole-file round trips through the Collector (the only checkpoint file
+// writer; same and different shard counts), rejection of truncated /
+// bit-flipped / wrong-version files, generation fallback, and the sticky
+// error of a caller-driven checkpoint.
 
 #include "engine/checkpoint.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -18,6 +17,7 @@
 #include "core/crc32c.h"
 #include "core/failpoint.h"
 #include "core/file_io.h"
+#include "engine/collector.h"
 #include "engine/sharded_aggregator.h"
 #include "protocols/factory.h"
 #include "protocols/test_util.h"
@@ -25,12 +25,13 @@
 namespace ldpm {
 namespace {
 
+using engine::CollectionHandle;
+using engine::Collector;
+using engine::CollectorOptions;
 using engine::DecodeCheckpoint;
 using engine::EncodeCheckpoint;
 using engine::EngineOptions;
-using engine::ReadCheckpoint;
 using engine::ShardedAggregator;
-using engine::WriteCheckpoint;
 using test::EncodeReportStream;
 using test::ExpectBitwiseEqualEstimates;
 using test::MakeConfig;
@@ -68,6 +69,43 @@ LoadedEngine MakeLoadedEngine(ProtocolKind kind, int num_shards,
   EXPECT_TRUE((*eng)->IngestBatch(reports).ok());
   EXPECT_TRUE((*eng)->Flush().ok());
   return {*std::move(eng), *std::move(reference)};
+}
+
+/// A collector hosting one collection "c" of `kind` at `num_shards`.
+struct OneCollection {
+  std::unique_ptr<Collector> collector;
+  CollectionHandle handle;
+};
+
+OneCollection MakeCollector(ProtocolKind kind, int num_shards,
+                            CollectorOptions options = {}) {
+  options.engine_defaults.num_shards = num_shards;
+  auto collector = Collector::Create(options);
+  EXPECT_TRUE(collector.ok()) << collector.status().ToString();
+  auto handle = (*collector)->Register("c", kind, MakeConfig(6, 2));
+  EXPECT_TRUE(handle.ok()) << handle.status().ToString();
+  return {*std::move(collector), *std::move(handle)};
+}
+
+/// A collector with absorbed reports, plus the identical single aggregator.
+struct LoadedCollector {
+  OneCollection hosted;
+  std::unique_ptr<MarginalProtocol> reference;
+};
+
+LoadedCollector MakeLoadedCollector(ProtocolKind kind, int num_shards,
+                                    size_t num_reports, uint64_t seed) {
+  OneCollection hosted = MakeCollector(kind, num_shards);
+  auto reference = CreateProtocol(kind, MakeConfig(6, 2));
+  EXPECT_TRUE(reference.ok());
+  const std::vector<Report> reports =
+      EncodeReportStream(**reference, num_reports, seed);
+  for (const Report& r : reports) {
+    EXPECT_TRUE((*reference)->Absorb(r).ok());
+  }
+  EXPECT_TRUE(hosted.handle.IngestBatch(reports).ok());
+  EXPECT_TRUE(hosted.handle.Flush().ok());
+  return {std::move(hosted), *std::move(reference)};
 }
 
 class CheckpointPerProtocolTest
@@ -109,30 +147,27 @@ TEST_P(CheckpointPerProtocolTest, SnapshotPayloadRoundTrips) {
 }
 
 // The acceptance criterion: a checkpoint written mid-ingest restores into
-// a fresh engine — same or different shard count — whose marginal query
+// a fresh collector — same or different shard count — whose marginal query
 // results are bitwise-identical to the original's at checkpoint time.
 TEST_P(CheckpointPerProtocolTest, FileRoundTripAcrossShardCounts) {
   const ProtocolKind kind = GetParam();
   const std::string path =
       TestPath("ckpt_roundtrip_" + std::string(ProtocolKindName(kind)) +
                ".bin");
-  LoadedEngine loaded = MakeLoadedEngine(kind, 4, 2000, 31);
-  ASSERT_TRUE(loaded.engine->CheckpointTo(path).ok());
+  LoadedCollector loaded = MakeLoadedCollector(kind, 4, 2000, 31);
+  ASSERT_TRUE(loaded.hosted.collector->CheckpointTo(path).ok());
 
   // Reports ingested AFTER the checkpoint must not leak into the file.
   auto encoder = CreateProtocol(kind, MakeConfig(6, 2));
   ASSERT_TRUE(encoder.ok());
-  ASSERT_TRUE(
-      loaded.engine->IngestBatch(EncodeReportStream(**encoder, 300, 77)).ok());
+  ASSERT_TRUE(loaded.hosted.handle
+                  .IngestBatch(EncodeReportStream(**encoder, 300, 77))
+                  .ok());
 
   for (int target_shards : {1, 2, 4}) {
-    EngineOptions options;
-    options.num_shards = target_shards;
-    auto restored =
-        ShardedAggregator::Create(kind, MakeConfig(6, 2), options);
-    ASSERT_TRUE(restored.ok());
-    ASSERT_TRUE((*restored)->RestoreFrom(path).ok());
-    auto merged = (*restored)->Merged();
+    OneCollection restored = MakeCollector(kind, target_shards);
+    ASSERT_TRUE(restored.collector->RestoreFrom(path).ok());
+    auto merged = restored.handle.aggregator().Merged();
     ASSERT_TRUE(merged.ok()) << merged.status().ToString();
     EXPECT_EQ((*merged)->reports_absorbed(), 2000u);
     ExpectBitwiseEqualEstimates(*loaded.reference, **merged);
@@ -218,125 +253,83 @@ TEST(Checkpoint, TrailingBytesAreRejected) {
 }
 
 TEST(Checkpoint, RestoreFromMissingFileIsNotFound) {
-  EngineOptions options;
-  auto eng = ShardedAggregator::Create(ProtocolKind::kInpHT, MakeConfig(6, 2),
-                                       options);
-  ASSERT_TRUE(eng.ok());
-  const Status s = (*eng)->RestoreFrom(TestPath("ckpt_no_such_file.bin"));
+  OneCollection hosted = MakeCollector(ProtocolKind::kInpHT, 1);
+  const Status s =
+      hosted.collector->RestoreFrom(TestPath("ckpt_no_such_file.bin"));
   ASSERT_FALSE(s.ok());
   EXPECT_EQ(s.code(), StatusCode::kNotFound);
 }
 
 // A corrupted file must reject with a clear error AND leave the target
-// engine's state untouched.
+// collection's state untouched.
 TEST(Checkpoint, CorruptFileLeavesEngineStateIntact) {
   const std::string path = TestPath("ckpt_corrupt.bin");
-  LoadedEngine loaded = MakeLoadedEngine(ProtocolKind::kInpHT, 2, 500, 37);
-  ASSERT_TRUE(loaded.engine->CheckpointTo(path).ok());
+  LoadedCollector loaded =
+      MakeLoadedCollector(ProtocolKind::kInpHT, 2, 500, 37);
+  ASSERT_TRUE(loaded.hosted.collector->CheckpointTo(path).ok());
   auto bytes = ReadBinaryFile(path);
   ASSERT_TRUE(bytes.ok());
   (*bytes)[bytes->size() / 2] ^= 0x40;
   ASSERT_TRUE(WriteBinaryFileAtomic(path, *bytes).ok());
 
-  const Status restored = loaded.engine->RestoreFrom(path);
+  const Status restored = loaded.hosted.collector->RestoreFrom(path);
   ASSERT_FALSE(restored.ok());
   EXPECT_NE(restored.message().find("checkpoint"), std::string::npos)
       << restored.ToString();
   // State unchanged: still answers like the reference aggregator.
-  auto merged = loaded.engine->Merged();
+  auto merged = loaded.hosted.handle.aggregator().Merged();
   ASSERT_TRUE(merged.ok());
   ExpectBitwiseEqualEstimates(*loaded.reference, **merged);
   std::filesystem::remove(path);
+  std::filesystem::remove(path + ".corrupt");
 }
 
-// Restoring a checkpoint into an engine running a different protocol must
-// fail (the per-snapshot protocol name guards the restore).
+// Restoring a checkpoint into a collection running a different protocol
+// must fail (the per-snapshot protocol name guards the restore).
 TEST(Checkpoint, ProtocolMismatchIsRejected) {
   const std::string path = TestPath("ckpt_mismatch.bin");
-  LoadedEngine loaded = MakeLoadedEngine(ProtocolKind::kInpHT, 2, 200, 41);
-  ASSERT_TRUE(loaded.engine->CheckpointTo(path).ok());
-  EngineOptions options;
-  auto other = ShardedAggregator::Create(ProtocolKind::kMargPS,
-                                         MakeConfig(6, 2), options);
-  ASSERT_TRUE(other.ok());
-  EXPECT_FALSE((*other)->RestoreFrom(path).ok());
+  LoadedCollector loaded =
+      MakeLoadedCollector(ProtocolKind::kInpHT, 2, 200, 41);
+  ASSERT_TRUE(loaded.hosted.collector->CheckpointTo(path).ok());
+  OneCollection other = MakeCollector(ProtocolKind::kMargPS, 1);
+  EXPECT_FALSE(other.collector->RestoreFrom(path).ok());
   std::filesystem::remove(path);
 }
 
-TEST(Checkpoint, CadenceRequiresPath) {
-  EngineOptions options;
-  options.checkpoint_every_batches = 4;
-  EXPECT_FALSE(ShardedAggregator::Create(ProtocolKind::kInpHT,
-                                         MakeConfig(6, 2), options)
-                   .ok());
-}
-
-// The background checkpointer must write a restorable file without any
-// explicit CheckpointTo call, and without erroring.
-TEST(Checkpoint, BackgroundCadenceWritesRestorableCheckpoints) {
-  const std::string path = TestPath("ckpt_background.bin");
+// Periodic durability is caller-driven: a failed Checkpoint() leaves a
+// sticky LastCheckpointError and counts an error; the caller's next tick
+// is the retry, and its success clears the error.
+TEST(Checkpoint, CallerDrivenCheckpointRetryClearsStickyError) {
+  const std::string path = TestPath("ckpt_retry.bin");
   std::filesystem::remove(path);
-  const ProtocolConfig config = MakeConfig(6, 2);
-  EngineOptions options;
-  options.num_shards = 2;
+  CollectorOptions options;
   options.checkpoint_path = path;
-  options.checkpoint_every_batches = 2;
-  auto eng = ShardedAggregator::Create(ProtocolKind::kInpHT, config, options);
-  ASSERT_TRUE(eng.ok()) << eng.status().ToString();
-  auto encoder = CreateProtocol(ProtocolKind::kInpHT, config);
+  OneCollection hosted = MakeCollector(ProtocolKind::kInpHT, 2, options);
+  auto encoder = CreateProtocol(ProtocolKind::kInpHT, MakeConfig(6, 2));
   ASSERT_TRUE(encoder.ok());
-  const std::vector<Report> reports = EncodeReportStream(**encoder, 1000, 43);
-  for (size_t begin = 0; begin < reports.size(); begin += 100) {
-    ASSERT_TRUE((*eng)
-                    ->IngestBatch(std::vector<Report>(
-                        reports.begin() + begin, reports.begin() + begin + 100))
-                    .ok());
-  }
-  ASSERT_TRUE((*eng)->Flush().ok());
-  // The checkpointer runs asynchronously and snapshots WITHOUT a flush
-  // barrier, so an early cut can legitimately contain zero reports — and
-  // on a slow machine (TSan) that empty cut can be the last one the
-  // original batches trigger. Keep the stream flowing until a durable
-  // checkpoint holds data; the atomic write-rename guarantees every read
-  // below sees a complete file.
-  size_t total_ingested = reports.size();
-  uint64_t checkpointed = 0;
-  std::vector<AggregatorSnapshot> written;
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(30);
-  for (;;) {
-    if ((*eng)->checkpoints_written() > 0) {
-      auto snapshots = ReadCheckpoint(path);
-      ASSERT_TRUE(snapshots.ok()) << snapshots.status().ToString();
-      uint64_t total = 0;
-      for (const AggregatorSnapshot& s : *snapshots) {
-        total += s.reports_absorbed;
-      }
-      if (total > 0) {
-        written = *std::move(snapshots);
-        checkpointed = total;
-        break;
-      }
-    }
-    ASSERT_LT(std::chrono::steady_clock::now(), deadline)
-        << "no data-bearing background checkpoint appeared";
-    ASSERT_TRUE((*eng)
-                    ->IngestBatch(std::vector<Report>(reports.begin(),
-                                                      reports.begin() + 100))
-                    .ok());
-    total_ingested += 100;
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  EXPECT_TRUE((*eng)->LastCheckpointError().ok());
+  ASSERT_TRUE(
+      hosted.handle.IngestBatch(EncodeReportStream(**encoder, 500, 7)).ok());
+  Collector& collector = *hosted.collector;
+  const obs::MetricsRegistry& registry = *collector.metrics();
 
-  // The written file is a valid prefix of the ingested stream.
-  EXPECT_EQ(written.size(), 2u);
-  EXPECT_LE(checkpointed, total_ingested);
-  EngineOptions restore_options;
-  auto restored =
-      ShardedAggregator::Create(ProtocolKind::kInpHT, config, restore_options);
-  ASSERT_TRUE(restored.ok());
-  EXPECT_TRUE((*restored)->RestoreFrom(path).ok());
+  failpoint::ArmError("file_io.write");
+  EXPECT_FALSE(collector.Checkpoint().ok());
+  failpoint::DisarmAll();
+  EXPECT_FALSE(collector.LastCheckpointError().ok());
+  EXPECT_EQ(collector.checkpoints_written(), 0u);
+  EXPECT_EQ(registry.CounterValue("ldpm_collector_checkpoint_errors_total"),
+            1u);
+
+  ASSERT_TRUE(collector.Checkpoint().ok());
+  EXPECT_TRUE(collector.LastCheckpointError().ok());
+  EXPECT_EQ(collector.checkpoints_written(), 1u);
+  EXPECT_EQ(registry.CounterValue("ldpm_collector_checkpoint_writes_total"),
+            1u);
+  OneCollection restored = MakeCollector(ProtocolKind::kInpHT, 1);
+  ASSERT_TRUE(restored.collector->RestoreFrom(path).ok());
+  auto absorbed = restored.handle.ReportsAbsorbed();
+  ASSERT_TRUE(absorbed.ok());
+  EXPECT_EQ(*absorbed, 500u);
   std::filesystem::remove(path);
 }
 
@@ -389,22 +382,19 @@ TEST(CheckpointGenerations, FallbackSkipsCorruptNewestAndQuarantines) {
   std::filesystem::remove_all(dir);
   std::filesystem::create_directory(dir);
   const std::string path = dir + "/ckpt.bin";
-  // Two checkpoints of the same engine at different cuts: gen 1 holds the
-  // 400-report cut, gen 0 the 700-report cut.
-  EngineOptions options;
-  options.num_shards = 2;
+  // Two checkpoints of the same collector at different cuts: gen 1 holds
+  // the 400-report cut, gen 0 the 700-report cut.
+  CollectorOptions options;
   options.checkpoint_generations = 2;
-  auto eng = ShardedAggregator::Create(ProtocolKind::kInpHT, MakeConfig(6, 2),
-                                       options);
-  ASSERT_TRUE(eng.ok());
+  OneCollection hosted = MakeCollector(ProtocolKind::kInpHT, 2, options);
   auto encoder = CreateProtocol(ProtocolKind::kInpHT, MakeConfig(6, 2));
   ASSERT_TRUE(encoder.ok());
-  ASSERT_TRUE((*eng)->IngestBatch(EncodeReportStream(**encoder, 400, 3)).ok());
-  ASSERT_TRUE((*eng)->Flush().ok());
-  ASSERT_TRUE((*eng)->CheckpointTo(path).ok());
-  ASSERT_TRUE((*eng)->IngestBatch(EncodeReportStream(**encoder, 300, 5)).ok());
-  ASSERT_TRUE((*eng)->Flush().ok());
-  ASSERT_TRUE((*eng)->CheckpointTo(path).ok());
+  ASSERT_TRUE(
+      hosted.handle.IngestBatch(EncodeReportStream(**encoder, 400, 3)).ok());
+  ASSERT_TRUE(hosted.collector->CheckpointTo(path).ok());
+  ASSERT_TRUE(
+      hosted.handle.IngestBatch(EncodeReportStream(**encoder, 300, 5)).ok());
+  ASSERT_TRUE(hosted.collector->CheckpointTo(path).ok());
 
   // Corrupt the newest generation in place.
   auto bytes = ReadBinaryFile(path);
@@ -413,8 +403,10 @@ TEST(CheckpointGenerations, FallbackSkipsCorruptNewestAndQuarantines) {
   ASSERT_TRUE(WriteBinaryFileAtomic(path, *bytes).ok());
 
   engine::CheckpointFallbackInfo info;
-  auto snapshots = engine::ReadCheckpointWithFallback(path, 2, &info);
-  ASSERT_TRUE(snapshots.ok()) << snapshots.status().ToString();
+  auto collections =
+      engine::ReadCollectorCheckpointWithFallback(path, 2, &info);
+  ASSERT_TRUE(collections.ok()) << collections.status().ToString();
+  ASSERT_EQ(collections->size(), 1u);
   EXPECT_EQ(info.generation, 1);
   EXPECT_EQ(info.path, path + ".1");
   ASSERT_EQ(info.quarantined.size(), 1u);
@@ -423,17 +415,25 @@ TEST(CheckpointGenerations, FallbackSkipsCorruptNewestAndQuarantines) {
   EXPECT_FALSE(std::filesystem::exists(path));
   EXPECT_TRUE(std::filesystem::exists(path + ".corrupt"));
   uint64_t total = 0;
-  for (const AggregatorSnapshot& s : *snapshots) total += s.reports_absorbed;
+  for (const AggregatorSnapshot& s : (*collections)[0].snapshots) {
+    total += s.reports_absorbed;
+  }
   EXPECT_EQ(total, 400u);
 
-  // The engine-level restore takes the same fallback path.
-  EngineOptions restore_options;
-  restore_options.checkpoint_generations = 2;
-  auto restored = ShardedAggregator::Create(ProtocolKind::kInpHT,
-                                            MakeConfig(6, 2), restore_options);
-  ASSERT_TRUE(restored.ok());
-  ASSERT_TRUE((*restored)->RestoreFrom(path).ok());
-  auto merged = (*restored)->Merged();
+  // Collector::RestoreFrom takes the same fallback path and counts the
+  // quarantine. Put the corrupt newest file back for it to find.
+  std::filesystem::rename(path + ".corrupt", path);
+  OneCollection restored = MakeCollector(ProtocolKind::kInpHT, 1, options);
+  const obs::MetricsRegistry& registry = *restored.collector->metrics();
+  EXPECT_EQ(
+      registry.CounterValue("ldpm_collector_checkpoint_quarantined_total"),
+      0u);
+  ASSERT_TRUE(restored.collector->RestoreFrom(path).ok());
+  EXPECT_EQ(
+      registry.CounterValue("ldpm_collector_checkpoint_quarantined_total"),
+      1u);
+  EXPECT_TRUE(std::filesystem::exists(path + ".corrupt"));
+  auto merged = restored.handle.aggregator().Merged();
   ASSERT_TRUE(merged.ok());
   EXPECT_EQ((*merged)->reports_absorbed(), 400u);
   std::filesystem::remove_all(dir);
@@ -448,10 +448,11 @@ TEST(CheckpointGenerations, AllGenerationsCorruptReportsLastErrorNotFound) {
   ASSERT_TRUE(WriteBinaryFileAtomic(path + ".1", {0xBE, 0xEF}).ok());
 
   engine::CheckpointFallbackInfo info;
-  auto snapshots = engine::ReadCheckpointWithFallback(path, 2, &info);
-  ASSERT_FALSE(snapshots.ok());
-  EXPECT_NE(snapshots.status().code(), StatusCode::kNotFound)
-      << snapshots.status().ToString();
+  auto collections =
+      engine::ReadCollectorCheckpointWithFallback(path, 2, &info);
+  ASSERT_FALSE(collections.ok());
+  EXPECT_NE(collections.status().code(), StatusCode::kNotFound)
+      << collections.status().ToString();
   EXPECT_EQ(info.quarantined.size(), 2u);
   EXPECT_TRUE(std::filesystem::exists(path + ".corrupt"));
   EXPECT_TRUE(std::filesystem::exists(path + ".1.corrupt"));
@@ -459,56 +460,10 @@ TEST(CheckpointGenerations, AllGenerationsCorruptReportsLastErrorNotFound) {
 }
 
 TEST(CheckpointGenerations, NoGenerationAtAllIsNotFound) {
-  auto snapshots = engine::ReadCheckpointWithFallback(
+  auto collections = engine::ReadCollectorCheckpointWithFallback(
       TestPath("ckpt_gen_none.bin"), 3);
-  ASSERT_FALSE(snapshots.ok());
-  EXPECT_EQ(snapshots.status().code(), StatusCode::kNotFound);
-}
-
-// The background checkpointer must retry a transiently failing write with
-// backoff and clear the sticky LastCheckpointError once a write lands.
-TEST(Checkpoint, BackgroundCheckpointerRetriesAndClearsStickyError) {
-  const std::string path = TestPath("ckpt_retry.bin");
-  std::filesystem::remove(path);
-  const ProtocolConfig config = MakeConfig(6, 2);
-  EngineOptions options;
-  options.num_shards = 2;
-  options.checkpoint_path = path;
-  options.checkpoint_every_batches = 1;
-  options.checkpoint_retry_initial_backoff = std::chrono::milliseconds(10);
-  options.checkpoint_retry_max_backoff = std::chrono::milliseconds(50);
-  auto eng = ShardedAggregator::Create(ProtocolKind::kInpHT, config, options);
-  ASSERT_TRUE(eng.ok()) << eng.status().ToString();
-  auto encoder = CreateProtocol(ProtocolKind::kInpHT, config);
-  ASSERT_TRUE(encoder.ok());
-
-  failpoint::ArmError("file_io.write");
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(30);
-  while ((*eng)->LastCheckpointError().ok()) {
-    ASSERT_TRUE(
-        (*eng)->IngestBatch(EncodeReportStream(**encoder, 50, 7)).ok());
-    if (std::chrono::steady_clock::now() > deadline) {
-      failpoint::DisarmAll();
-      FAIL() << "injected checkpoint failure never surfaced";
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  EXPECT_GT(failpoint::HitCount("file_io.write"), 0u);
-  failpoint::DisarmAll();
-
-  // The retry loop recovers on its own — no new batches needed — and the
-  // success clears the sticky error.
-  while (!(*eng)->LastCheckpointError().ok()) {
-    ASSERT_LT(std::chrono::steady_clock::now(), deadline)
-        << "checkpointer never recovered after disarm: "
-        << (*eng)->LastCheckpointError().ToString();
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  EXPECT_GT((*eng)->checkpoints_written(), 0u);
-  auto snapshots = ReadCheckpoint(path);
-  EXPECT_TRUE(snapshots.ok()) << snapshots.status().ToString();
-  std::filesystem::remove(path);
+  ASSERT_FALSE(collections.ok());
+  EXPECT_EQ(collections.status().code(), StatusCode::kNotFound);
 }
 
 TEST(Checkpoint, HostileArrayLengthDoesNotWrapByteArithmetic) {

@@ -3,7 +3,7 @@
 // Collector hosting mixed kinds is bitwise-identical to standalone
 // ShardedAggregators fed the same per-collection streams), and the
 // version-2 multi-collection checkpoint container (round trips, v1 compat,
-// every-truncation sweep).
+// every-truncation sweep, shutdown checkpoints).
 
 #include "engine/collector.h"
 
@@ -81,9 +81,10 @@ TEST(Collector, RegistryBasics) {
 
   // Outstanding handles outlive Unregister.
   Rng rng(4);
-  ASSERT_TRUE(clicks->Ingest((*CreateProtocol(ProtocolKind::kInpHT,
-                                              MakeConfig(6, 2)))
-                                 ->Encode(5, rng))
+  ASSERT_TRUE(clicks
+                  ->IngestBatch({(*CreateProtocol(ProtocolKind::kInpHT,
+                                                  MakeConfig(6, 2)))
+                                     ->Encode(5, rng)})
                   .ok());
   EXPECT_TRUE(clicks->Flush().ok());
 }
@@ -341,7 +342,8 @@ TEST(Collector, V1SingleCollectionFilesStillRestore) {
   const std::string path = TempPath("ldpm_collector_v1.ckpt");
   const ProtocolConfig config = MakeConfig(6, 2);
 
-  // Write a v1 file through the per-collection ShardedAggregator API.
+  // Write a v1 file the way older builds did: one engine's shard
+  // snapshots in the single-collection container.
   EngineOptions engine_options;
   engine_options.num_shards = 3;
   auto engine =
@@ -352,7 +354,11 @@ TEST(Collector, V1SingleCollectionFilesStillRestore) {
   ASSERT_TRUE(encoder.ok());
   ASSERT_TRUE(
       (*engine)->IngestBatch(EncodeReportStream(**encoder, 2000, 21)).ok());
-  ASSERT_TRUE((*engine)->CheckpointTo(path).ok());
+  auto snapshots = (*engine)->SnapshotShards();
+  ASSERT_TRUE(snapshots.ok());
+  auto v1_image = engine::EncodeCheckpoint(*snapshots);
+  ASSERT_TRUE(v1_image.ok());
+  ASSERT_TRUE(WriteBinaryFileAtomic(path, *v1_image).ok());
   // The file is genuinely version 1.
   auto bytes = ReadBinaryFile(path);
   ASSERT_TRUE(bytes.ok());
@@ -454,11 +460,10 @@ TEST(Collector, ShutdownCheckpointWritesFinalState) {
 
 TEST(Collector, DestructorShutdownCheckpointIncludesQueuedTail) {
   // Regression: the destructor must run the FULL Drain() path — flush the
-  // coalescing buffers and queued batches of every collection BEFORE the
-  // snapshot cut — not a bare CheckpointTo. Queue work on two collections
-  // (batches plus a partially filled single-report coalescing buffer) and
-  // destroy the collector with no explicit Drain(): the restored state
-  // must hold every report.
+  // queued batches of every collection BEFORE the snapshot cut — not a
+  // bare CheckpointTo. Queue work on two collections and destroy the
+  // collector with no explicit Drain(): the restored state must hold
+  // every report.
   const std::string path = TempPath("ldpm_collector_dtor_tail.ckpt");
   std::filesystem::remove(path);
   const ProtocolConfig config = MakeConfig(6, 2);
@@ -482,11 +487,8 @@ TEST(Collector, DestructorShutdownCheckpointIncludesQueuedTail) {
     ASSERT_TRUE(b.ok());
     ASSERT_TRUE(a->IngestBatch(batch_a).ok());
     ASSERT_TRUE(b->IngestBatch(batch_b).ok());
-    // These stay in the engine's single-report coalescing buffer (far
-    // below the default batch size) — the classic shutdown tail.
-    for (const Report& report : tail_a) {
-      ASSERT_TRUE(a->Ingest(report).ok());
-    }
+    // The last small batch — the classic shutdown tail.
+    ASSERT_TRUE(a->IngestBatch(tail_a).ok());
     // No Drain(), no Flush(): the destructor alone must not lose them.
   }
 
@@ -636,41 +638,39 @@ TEST(Collector, IngestFramesReportsBytesConsumedAndFramesRouted) {
   EXPECT_EQ(cut_result.frames_routed, 1u);
 }
 
-TEST(ShardedAggregator, CheckpointOnShutdownFlagWritesInDrainAndDestructor) {
-  const std::string path = TempPath("ldpm_engine_shutdown.ckpt");
+TEST(Collector, CheckpointOnShutdownWritesInDrainAndDestructor) {
+  const std::string path = TempPath("ldpm_collector_drain_then_tail.ckpt");
   std::filesystem::remove(path);
   const ProtocolConfig config = MakeConfig(6, 2);
   auto encoder = CreateProtocol(ProtocolKind::kMargPS, config);
   ASSERT_TRUE(encoder.ok());
 
   // The flag requires a path.
-  EngineOptions bad;
+  CollectorOptions bad;
   bad.checkpoint_on_shutdown = true;
-  EXPECT_FALSE(
-      engine::ShardedAggregator::Create(ProtocolKind::kMargPS, config, bad)
-          .ok());
+  EXPECT_FALSE(Collector::Create(bad).ok());
 
-  EngineOptions options;
-  options.num_shards = 2;
+  CollectorOptions options;
+  options.engine_defaults.num_shards = 2;
   options.checkpoint_path = path;
   options.checkpoint_on_shutdown = true;
   {
-    auto engine = engine::ShardedAggregator::Create(ProtocolKind::kMargPS,
-                                                    config, options);
-    ASSERT_TRUE(engine.ok());
+    auto collector = MustCreate(options);
+    auto handle = collector->Register("m", ProtocolKind::kMargPS, config);
+    ASSERT_TRUE(handle.ok());
     ASSERT_TRUE(
-        (*engine)->IngestBatch(EncodeReportStream(**encoder, 700, 13)).ok());
-    ASSERT_TRUE((*engine)->Drain().ok());
+        handle->IngestBatch(EncodeReportStream(**encoder, 700, 13)).ok());
+    ASSERT_TRUE(collector->Drain().ok());
     EXPECT_TRUE(std::filesystem::exists(path));
     // Ingest past the drain: the destructor must still capture the tail.
     ASSERT_TRUE(
-        (*engine)->IngestBatch(EncodeReportStream(**encoder, 300, 14)).ok());
+        handle->IngestBatch(EncodeReportStream(**encoder, 300, 14)).ok());
   }
-  auto revived = engine::ShardedAggregator::Create(ProtocolKind::kMargPS,
-                                                   config, options);
-  ASSERT_TRUE(revived.ok());
-  ASSERT_TRUE((*revived)->RestoreFrom(path).ok());
-  auto absorbed = (*revived)->ReportsAbsorbed();
+  auto revived = MustCreate();
+  auto handle = revived->Register("m", ProtocolKind::kMargPS, config);
+  ASSERT_TRUE(handle.ok());
+  ASSERT_TRUE(revived->RestoreFrom(path).ok());
+  auto absorbed = handle->ReportsAbsorbed();
   ASSERT_TRUE(absorbed.ok());
   EXPECT_EQ(*absorbed, 1000u);
   std::filesystem::remove(path);
@@ -694,12 +694,13 @@ TEST(Collector, QueryAndQueryCategorical) {
   auto click_encoder = CreateProtocol(ProtocolKind::kInpHT, MakeConfig(6, 2));
   ASSERT_TRUE(device_encoder.ok());
   ASSERT_TRUE(click_encoder.ok());
+  std::vector<Report> device_reports, click_reports;
   for (int i = 0; i < 5000; ++i) {
-    ASSERT_TRUE(
-        devices->Ingest((*device_encoder)->Encode(rng() % 24, rng)).ok());
-    ASSERT_TRUE(
-        clicks->Ingest((*click_encoder)->Encode(rng() % 64, rng)).ok());
+    device_reports.push_back((*device_encoder)->Encode(rng() % 24, rng));
+    click_reports.push_back((*click_encoder)->Encode(rng() % 64, rng));
   }
+  ASSERT_TRUE(devices->IngestBatch(std::move(device_reports)).ok());
+  ASSERT_TRUE(clicks->IngestBatch(std::move(click_reports)).ok());
   auto table = collector->Query("clicks", 0b11);
   ASSERT_TRUE(table.ok()) << table.status().ToString();
   EXPECT_EQ(table->size(), 4u);
@@ -715,7 +716,7 @@ TEST(Collector, QueryAndQueryCategorical) {
             StatusCode::kNotFound);
 }
 
-TEST(Collector, CheckpointsWrittenCountsContainerAndEngineWrites) {
+TEST(Collector, CheckpointsWrittenReadsTheWriteCounter) {
   const std::string path = TempPath("collector_ckpt_count.bin");
   std::filesystem::remove(path);
   auto collector = MustCreate();
@@ -736,32 +737,12 @@ TEST(Collector, CheckpointsWrittenCountsContainerAndEngineWrites) {
   ASSERT_TRUE(collector->CheckpointTo(path).ok());
   EXPECT_EQ(collector->checkpoints_written(), 2u);
   EXPECT_TRUE(collector->LastCheckpointError().ok());
-
-  // A per-collection background checkpointer's writes are included.
-  const std::string engine_path = TempPath("collector_ckpt_engine.bin");
-  std::filesystem::remove(engine_path);
-  EngineOptions overrides;
-  overrides.num_shards = 1;
-  overrides.checkpoint_path = engine_path;
-  overrides.checkpoint_every_batches = 1;
-  auto crashes = collector->Register("crashes", ProtocolKind::kInpRR,
-                                     MakeConfig(5, 2), overrides);
-  ASSERT_TRUE(crashes.ok());
-  auto crash_encoder = CreateProtocol(ProtocolKind::kInpRR, MakeConfig(5, 2));
-  ASSERT_TRUE(crash_encoder.ok());
-  ASSERT_TRUE(
-      crashes->IngestBatch(EncodeReportStream(**crash_encoder, 50, 7)).ok());
-  ASSERT_TRUE(crashes->Flush().ok());
-  for (int i = 0; i < 200 && crashes->aggregator().checkpoints_written() == 0;
-       ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  EXPECT_GE(collector->checkpoints_written(),
-            2u + crashes->aggregator().checkpoints_written());
-  EXPECT_GT(crashes->aggregator().checkpoints_written(), 0u);
+  // The count is the registry's write counter, not a second tally.
+  EXPECT_EQ(collector->metrics()->CounterValue(
+                "ldpm_collector_checkpoint_writes_total"),
+            2u);
 
   std::filesystem::remove(path);
-  std::filesystem::remove(engine_path);
 }
 
 TEST(Collector, LastCheckpointErrorStickyUntilNextSuccessfulWrite) {

@@ -5,6 +5,7 @@
 
 #include "engine/sharded_aggregator.h"
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -45,17 +46,21 @@ TEST_P(ShardCountInvarianceTest, MergedEstimatesMatchSingleAggregator) {
   for (int shards : {1, 3, 4}) {
     EngineOptions options;
     options.num_shards = shards;
-    options.batch_size = 128;
     auto eng = ShardedAggregator::Create(kind, config, options);
     ASSERT_TRUE(eng.ok()) << eng.status().ToString();
-    // Mix the batch and single-report ingest paths.
+    // Mix one large batch with many small ones, so batches land on every
+    // shard in uneven sizes.
     const size_t half = reports.size() / 2;
     ASSERT_TRUE((*eng)
                     ->IngestBatch(std::vector<Report>(
                         reports.begin(), reports.begin() + half))
                     .ok());
-    for (size_t i = half; i < reports.size(); ++i) {
-      ASSERT_TRUE((*eng)->Ingest(reports[i]).ok());
+    for (size_t begin = half; begin < reports.size(); begin += 128) {
+      const size_t end = std::min(begin + 128, reports.size());
+      ASSERT_TRUE((*eng)
+                      ->IngestBatch(std::vector<Report>(
+                          reports.begin() + begin, reports.begin() + end))
+                      .ok());
     }
     auto merged = (*eng)->Merged();
     ASSERT_TRUE(merged.ok()) << merged.status().ToString();
@@ -284,7 +289,7 @@ TEST(ShardedAggregator, RejectsBadOptions) {
   EXPECT_FALSE(
       ShardedAggregator::Create(ProtocolKind::kInpHT, config, options).ok());
   options.num_shards = 2;
-  options.batch_size = 0;
+  options.max_pending_batches = 0;
   EXPECT_FALSE(
       ShardedAggregator::Create(ProtocolKind::kInpHT, config, options).ok());
   EXPECT_FALSE(
