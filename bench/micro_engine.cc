@@ -409,9 +409,9 @@ int main(int argc, char** argv) {
       json.Add(name + ".encode" + std::to_string(shards) + "_rps",
                static_cast<double>(num_rows) / last_seconds);
 
-      auto stats = handle->Stats();
-      LDPM_CHECK(stats.ok());
-      LDPM_CHECK(stats->reports == num_rows);
+      auto absorbed = handle->ReportsAbsorbed();
+      LDPM_CHECK(absorbed.ok());
+      LDPM_CHECK(*absorbed == num_rows);
     }
     cells.push_back(Speedup(one_shard_seconds, last_seconds));
     ldpm::bench::Row(cells);

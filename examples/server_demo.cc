@@ -26,6 +26,7 @@
 
 #include <unistd.h>
 
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -44,6 +45,7 @@
 #include "net/query_server.h"
 #include "net/socket.h"
 #include "net/stats_server.h"
+#include "obs/metrics.h"
 #include "protocols/factory.h"
 #include "protocols/wire.h"
 
@@ -191,7 +193,8 @@ int RunChaosWalkthrough(int num_shards, size_t num_users) {
     const uint64_t read_faults = failpoint::HitCount("net.server.read");
     failpoint::DisarmAll();  // zeroes hit counts too
 
-    const net::IngestServerStats stats = (*server)->stats();
+    const uint64_t sessions_resumed = (*collector)->metrics()->CounterValue(
+        "ldpm_net_sessions_resumed_total");
     std::printf("  injected: %llu accept drop(s), %llu read fault(s)\n",
                 static_cast<unsigned long long>(accept_drops),
                 static_cast<unsigned long long>(read_faults));
@@ -201,7 +204,7 @@ int RunChaosWalkthrough(int num_shards, size_t num_users) {
         "server resumed %llu session(s)\n",
         static_cast<unsigned long long>(client->reconnects()),
         static_cast<unsigned long long>(client->frames_replayed()),
-        static_cast<unsigned long long>(stats.sessions_resumed));
+        static_cast<unsigned long long>(sessions_resumed));
     DEMO_CHECK(client->reconnects() >= 1, "resume exercised");
 
     // Exactly-once: despite drops and replay, every report counts once.
@@ -496,8 +499,14 @@ int main(int argc, char** argv) {
     DEMO_CHECK(!clicks_frames.empty() && !crashes_frames.empty(),
                "frame build");
 
+    // What the clients themselves know was routed: the frames and bytes
+    // each reply reports as routed, plus the killed client's whole frames.
+    // The /stats scrape below must reconcile with these totals.
+    uint64_t client_frames = 0;
+    uint64_t client_bytes = 0;
     std::vector<std::thread> streamers;
     std::vector<int> stream_errors(2, 0);
+    std::vector<net::StreamReply> stream_replies(2);
     streamers.emplace_back([&] {
       auto client = net::FrameClient::Connect("127.0.0.1", (*server)->port());
       if (!client.ok()) { stream_errors[0] = 1; return; }
@@ -505,7 +514,8 @@ int main(int argc, char** argv) {
         if (!client->SendFrame("clicks", frame).ok()) { stream_errors[0] = 1; return; }
       }
       auto reply = client->Finish();
-      if (!reply.ok() || !reply->status.ok()) stream_errors[0] = 1;
+      if (!reply.ok() || !reply->status.ok()) { stream_errors[0] = 1; return; }
+      stream_replies[0] = *std::move(reply);
     });
     streamers.emplace_back([&] {
       auto client = net::FrameClient::Connect("127.0.0.1", (*server)->port());
@@ -514,7 +524,8 @@ int main(int argc, char** argv) {
         if (!client->SendFrame("crashes", frame).ok()) { stream_errors[1] = 1; return; }
       }
       auto reply = client->Finish();
-      if (!reply.ok() || !reply->status.ok()) stream_errors[1] = 1;
+      if (!reply.ok() || !reply->status.ok()) { stream_errors[1] = 1; return; }
+      stream_replies[1] = *std::move(reply);
     });
     uint64_t killed_whole_frames = 0;
     {
@@ -531,10 +542,16 @@ int main(int argc, char** argv) {
                  "partial send");
       client->Abort();  // process dies mid-frame
       killed_whole_frames = 2;
+      client_frames += killed_whole_frames;
+      client_bytes += killed_whole_frames * framed.size();
     }
     for (auto& streamer : streamers) streamer.join();
     DEMO_CHECK(stream_errors[0] == 0 && stream_errors[1] == 0,
                "client streams acked");
+    for (const net::StreamReply& reply : stream_replies) {
+      client_frames += reply.frames_routed;
+      client_bytes += reply.bytes_routed;
+    }
 
     // A stream naming an unknown collection is rejected byte-precisely.
     {
@@ -547,16 +564,35 @@ int main(int argc, char** argv) {
       DEMO_CHECK(!reply->status.ok(), "rogue stream rejected");
       std::printf("rejected rogue stream: %s\n",
                   reply->status.message().c_str());
+      // Everything before the rejection offset was routed: the one valid
+      // frame ahead of the unknown id.
+      client_frames += 1;
+      client_bytes += reply->stream_offset;
     }
 
-    const net::IngestServerStats stats = (*server)->stats();
-    std::printf("served %llu connection(s): %llu frames, %.1f MB routed\n",
-                static_cast<unsigned long long>(stats.connections_accepted),
-                static_cast<unsigned long long>(stats.frames_routed),
-                static_cast<double>(stats.bytes_routed) / 1e6);
+    // The killed client got no reply, so its reader may still be
+    // finishing its stream: wait (bounded) until the server has routed
+    // what the clients know was sent before reconciling against it.
+    const obs::MetricsRegistry& metrics = *(*collector)->metrics();
+    const auto routed_deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (metrics.CounterValue("ldpm_net_frames_routed_total") <
+               client_frames &&
+           std::chrono::steady_clock::now() < routed_deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    std::printf(
+        "served %llu connection(s): %llu frames, %.1f MB routed\n",
+        static_cast<unsigned long long>(
+            metrics.CounterValue("ldpm_net_connections_accepted_total")),
+        static_cast<unsigned long long>(
+            metrics.CounterValue("ldpm_net_frames_routed_total")),
+        static_cast<double>(
+            metrics.CounterValue("ldpm_net_bytes_routed_total")) /
+            1e6);
 
-    // Live scrape while the pipeline is up: /stats must agree with the
-    // server's own counters and show real engine activity.
+    // Live scrape while the pipeline is up: /stats must reconcile with
+    // the client-visible totals and show real engine activity.
     {
       // Flush first so the absorbed-report counter is exact (absorption
       // is asynchronous; the scrape itself never blocks on it).
@@ -566,10 +602,11 @@ int main(int argc, char** argv) {
       const std::string body = HttpGet((*stats_server)->port(), "/stats");
       DEMO_CHECK(body.find("200 OK") != std::string::npos, "stats scrape");
       DEMO_CHECK(SeriesValue(body, "ldpm_net_frames_routed_total") ==
-                     static_cast<double>(stats.frames_routed),
-                 "scrape agrees with server counters");
-      DEMO_CHECK(SeriesValue(body, "ldpm_net_bytes_routed_total") > 0.0,
-                 "bytes routed metric nonzero");
+                     static_cast<double>(client_frames),
+                 "scraped frames agree with client-side totals");
+      DEMO_CHECK(SeriesValue(body, "ldpm_net_bytes_routed_total") ==
+                     static_cast<double>(client_bytes),
+                 "scraped bytes agree with client-side totals");
       DEMO_CHECK(SeriesValue(body, "ldpm_collector_collections") == 2.0,
                  "collections gauge");
       DEMO_CHECK(
@@ -587,8 +624,9 @@ int main(int argc, char** argv) {
       DEMO_CHECK(
           SeriesValue(body, "ldpm_net_frame_route_latency_ns_count") > 0.0,
           "route latency histogram populated");
-      std::printf("scraped /stats: %zu bytes, frames metric matches\n",
-                  body.size());
+      std::printf(
+          "scraped /stats: %zu bytes, frames and bytes match the clients\n",
+          body.size());
     }
 
     // Graceful stop: stop accepting -> drain readers -> Collector::Drain()

@@ -60,11 +60,6 @@ Status CollectionHandle::IngestWireBatch(std::vector<uint8_t> frame) {
   return collection_->engine->IngestWireBatch(std::move(frame));
 }
 
-Status CollectionHandle::IngestRows(std::vector<uint64_t> rows,
-                                    bool fast_path) {
-  return collection_->engine->IngestRows(std::move(rows), fast_path);
-}
-
 Status CollectionHandle::IngestPopulation(const std::vector<uint64_t>& rows,
                                           bool fast_path) {
   return collection_->engine->IngestPopulation(rows, fast_path);
@@ -89,10 +84,6 @@ StatusOr<CategoricalMarginal> CollectionHandle::QueryCategorical(
 }
 
 Status CollectionHandle::Flush() { return collection_->engine->Flush(); }
-
-StatusOr<IngestStats> CollectionHandle::Stats() {
-  return collection_->engine->Stats();
-}
 
 StatusOr<uint64_t> CollectionHandle::ReportsAbsorbed() {
   return collection_->engine->ReportsAbsorbed();

@@ -94,7 +94,6 @@ class CollectionHandle {
   // Ingest — see the ShardedAggregator methods of the same names.
   Status IngestBatch(std::vector<Report> reports);
   Status IngestWireBatch(std::vector<uint8_t> frame);
-  Status IngestRows(std::vector<uint64_t> rows, bool fast_path = false);
   Status IngestPopulation(const std::vector<uint64_t>& rows,
                           bool fast_path = true);
 
@@ -107,7 +106,6 @@ class CollectionHandle {
   StatusOr<CategoricalMarginal> QueryCategorical(const std::vector<int>& attrs);
 
   Status Flush();
-  StatusOr<IngestStats> Stats();
   StatusOr<uint64_t> ReportsAbsorbed();
 
   /// The advanced per-collection layer (snapshots, re-sharding, merged

@@ -184,15 +184,6 @@ void ShardedAggregator::WorkerLoop(Shard& shard) {
   }
 }
 
-void ShardedAggregator::NoteIngestStarted() {
-  ingest_epoch_.fetch_add(1, std::memory_order_acq_rel);
-  core::MutexLock lock(window_mu_);
-  if (!window_open_) {
-    window_open_ = true;
-    window_start_ = std::chrono::steady_clock::now();
-  }
-}
-
 Status ShardedAggregator::EnqueueWork(WorkItem item) {
   const size_t target =
       next_shard_.fetch_add(1, std::memory_order_relaxed) % shards_.size();
@@ -210,16 +201,20 @@ Status ShardedAggregator::EnqueueWork(WorkItem item) {
     return Status::FailedPrecondition(
         "ShardedAggregator: engine is shutting down");
   }
-  // After the push, never before: MarginalCache reads this counter as its
-  // freshness watermark, and a watermark ahead of the queue would let a
-  // rebuild record a batch its flush could not yet see.
+  // Invalidate the merged cache after the push, never before: a Merged()
+  // that recorded a pre-push bump would drain without the item, then keep
+  // serving that state as current. Any Merged() that loads the epoch
+  // after this line drains a queue that already holds the item.
+  ingest_epoch_.fetch_add(1, std::memory_order_acq_rel);
+  // After the push and the epoch bump, never before: MarginalCache reads
+  // this counter as its freshness watermark, and a watermark ahead of
+  // either would let a rebuild record a batch its merge did not include.
   batches_total_->Increment();
   return Status::OK();
 }
 
 Status ShardedAggregator::IngestBatch(std::vector<Report> reports) {
   if (reports.empty()) return Status::OK();
-  NoteIngestStarted();
   WorkItem item;
   item.reports = std::move(reports);
   return EnqueueWork(std::move(item));
@@ -227,7 +222,6 @@ Status ShardedAggregator::IngestBatch(std::vector<Report> reports) {
 
 Status ShardedAggregator::IngestWireBatch(std::vector<uint8_t> frame) {
   if (frame.empty()) return Status::OK();
-  NoteIngestStarted();
   WorkItem item;
   item.wire = std::move(frame);
   return EnqueueWork(std::move(item));
@@ -235,8 +229,6 @@ Status ShardedAggregator::IngestWireBatch(std::vector<uint8_t> frame) {
 
 Status ShardedAggregator::IngestRows(std::vector<uint64_t> rows,
                                      bool fast_path) {
-  if (rows.empty()) return Status::OK();
-  NoteIngestStarted();
   WorkItem item;
   item.rows = std::move(rows);
   item.fast_path = fast_path;
@@ -296,37 +288,6 @@ StatusOr<MarginalTable> ShardedAggregator::EstimateMarginal(uint64_t beta) {
   auto merged = Merged();
   if (!merged.ok()) return merged.status();
   return (*merged)->EstimateMarginal(beta);
-}
-
-StatusOr<IngestStats> ShardedAggregator::Stats() {
-  LDPM_RETURN_IF_ERROR(Flush());
-  IngestStats stats;
-  {
-    // The registry counter is monotonic (the Prometheus contract); the
-    // stats window subtracts the baseline recorded at the last Reset().
-    core::MutexLock lock(window_mu_);
-    stats.batches = batches_total_->Value() - window_base_batches_;
-  }
-  for (auto& shard : shards_) {
-    core::MutexLock state_lock(shard->state_mu);
-    stats.per_shard_reports.push_back(shard->protocol->reports_absorbed());
-    stats.reports += shard->protocol->reports_absorbed();
-    stats.bits += shard->protocol->total_report_bits();
-  }
-  {
-    core::MutexLock lock(window_mu_);
-    if (window_open_) {
-      stats.wall_seconds = std::chrono::duration<double>(
-                               std::chrono::steady_clock::now() - window_start_)
-                               .count();
-    }
-  }
-  if (stats.wall_seconds > 0.0) {
-    stats.reports_per_second =
-        static_cast<double>(stats.reports) / stats.wall_seconds;
-    stats.bits_per_second = stats.bits / stats.wall_seconds;
-  }
-  return stats;
 }
 
 StatusOr<uint64_t> ShardedAggregator::ReportsAbsorbed() {
@@ -395,9 +356,6 @@ Status ShardedAggregator::Reset() {
     core::MutexLock merge_lock(merge_mu_);
     merged_.reset();
   }
-  core::MutexLock lock(window_mu_);
-  window_open_ = false;
-  window_base_batches_ = batches_total_->Value();
   return Status::OK();
 }
 

@@ -25,7 +25,6 @@
 #define LDPM_ENGINE_SHARDED_AGGREGATOR_H_
 
 #include <atomic>
-#include <chrono>
 #include <functional>
 #include <memory>
 #include <string>
@@ -35,7 +34,6 @@
 
 #include "core/sync.h"
 #include "engine/ingest_budget.h"
-#include "engine/ingest_stats.h"
 #include "engine/shard_queue.h"
 #include "obs/metrics.h"
 #include "protocols/factory.h"
@@ -63,7 +61,7 @@ struct EngineOptions {
   /// counters, queue-depth gauges, absorb/budget-wait latency histograms —
   /// docs/observability.md catalogs them). Null gives the
   /// engine a private registry, so instrumentation is always on (the
-  /// counters double as the IngestStats source of truth) but invisible
+  /// counters are the engine's only throughput accounting) but invisible
   /// until a registry is shared. The registry must outlive the engine.
   /// Two engines sharing a registry AND a metrics_collection label share
   /// series — give each engine a distinct label (the Collector does).
@@ -129,13 +127,11 @@ class ShardedAggregator {
   /// from network bytes to protocol state.
   Status IngestWireBatch(std::vector<uint8_t> frame);
 
-  /// Enqueues raw user rows; the receiving shard's worker encodes them with
-  /// the shard's own Rng stream and absorbs the reports. With `fast_path`
-  /// the worker uses the protocol's distribution-exact AbsorbPopulation.
-  Status IngestRows(std::vector<uint64_t> rows, bool fast_path = false);
-
-  /// Splits a population across all shards in contiguous chunks and ingests
-  /// each chunk as row work. Distribution-equivalent to a single
+  /// Splits a population of raw user rows across all shards in contiguous
+  /// chunks, one work item per chunk; each receiving worker encodes its
+  /// chunk with the shard's own Rng stream and absorbs the reports. With
+  /// `fast_path` the worker uses the protocol's distribution-exact
+  /// AbsorbPopulation instead. Distribution-equivalent to a single
   /// aggregator's AbsorbPopulation.
   Status IngestPopulation(const std::vector<uint64_t>& rows,
                           bool fast_path = true);
@@ -156,10 +152,6 @@ class ShardedAggregator {
 
   // ---- Introspection -----------------------------------------------------
 
-  /// Flushes and reports ingest throughput over the window since the first
-  /// ingest after construction/Reset.
-  StatusOr<IngestStats> Stats();
-
   /// Total reports absorbed by all shards (flushes first).
   StatusOr<uint64_t> ReportsAbsorbed();
 
@@ -175,7 +167,8 @@ class ShardedAggregator {
   /// the shard count).
   Status RestoreShards(const std::vector<AggregatorSnapshot>& snapshots);
 
-  /// Flushes and clears all shard state and the stats window.
+  /// Flushes and clears all shard state. The registry counters stay
+  /// monotonic (the Prometheus contract); only the shard protocols reset.
   Status Reset();
 
   /// The registry this engine's metrics live in (the options' registry,
@@ -186,8 +179,8 @@ class ShardedAggregator {
  private:
   struct Shard {
     /// Serializes the worker's state mutation against control-plane reads
-    /// (merge, stats, snapshot); held per work item, so uncontended in
-    /// steady state.
+    /// (merge, ReportsAbsorbed, snapshot); held per work item, so
+    /// uncontended in steady state.
     core::Mutex state_mu;
     /// The pointer itself is set once in Create (before the worker starts);
     /// the protocol state behind it mutates only under state_mu.
@@ -212,9 +205,11 @@ class ShardedAggregator {
   void InitMetrics();
 
   void WorkerLoop(Shard& shard);
-  void NoteIngestStarted();
-  /// The common enqueue tail: budget acquire (timed), queue push, depth
-  /// gauges, batch counter.
+  /// Enqueues one chunk of raw rows (IngestPopulation's per-shard step).
+  Status IngestRows(std::vector<uint64_t> rows, bool fast_path);
+  /// The common enqueue path: budget acquire (timed), depth gauges, queue
+  /// push, merged-cache epoch bump, batch counter. Takes no lock but the
+  /// shared budget's and the shard queue's.
   Status EnqueueWork(WorkItem item);
 
   ProtocolFactory factory_;
@@ -223,8 +218,8 @@ class ShardedAggregator {
 
   /// Metrics destination (never null after Create) and, when the options
   /// brought no registry, the engine-private one backing it. These
-  /// counters ARE the throughput accounting: IngestStats is a windowed
-  /// view over them (see Stats()/Reset()), not a parallel tally.
+  /// counters are the engine's only throughput accounting; callers read
+  /// them through the registry (CounterValue), never a parallel tally.
   obs::MetricsRegistry* metrics_ = nullptr;
   std::unique_ptr<obs::MetricsRegistry> owned_metrics_;
   obs::Counter* reports_total_ = nullptr;        // absorbed, all shards
@@ -251,17 +246,6 @@ class ShardedAggregator {
   /// acquired before any state_mu, never the other way around
   /// (docs/operations.md, "Lock ordering").
   core::Mutex state_cut_mu_;
-
-  core::Mutex window_mu_;
-  bool window_open_ LDPM_GUARDED_BY(window_mu_) = false;
-  std::chrono::steady_clock::time_point window_start_
-      LDPM_GUARDED_BY(window_mu_);
-  /// Batch-counter value at the last Reset: the registry counter is
-  /// monotonic for the scrapers' sake, so the resettable IngestStats
-  /// window subtracts this baseline instead of zeroing it. (Reports and
-  /// bits need no baseline — Reset clears the shard protocols they are
-  /// read from.)
-  uint64_t window_base_batches_ LDPM_GUARDED_BY(window_mu_) = 0;
 };
 
 }  // namespace engine

@@ -187,8 +187,7 @@ void HttpServer::ServeOne(Socket socket) {
   }
   const std::string rendered = RenderHttpResponse(response);
   // Count before writing: a client holding the response must already see
-  // its request in requests_served() and the registry counter.
-  requests_served_.fetch_add(1, std::memory_order_relaxed);
+  // its request in the registry counter.
   if (options_.requests_counter != nullptr) {
     options_.requests_counter->Increment();
   }

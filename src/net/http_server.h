@@ -63,7 +63,9 @@ struct HttpServerOptions {
   /// until bytes, EOF, or Stop().
   std::chrono::milliseconds idle_timeout{0};
   /// Optional counter incremented once per answered request, any status
-  /// (must outlive the server). The endpoint's operational request count.
+  /// (must outlive the server). The endpoint's only request count:
+  /// StatsServer wires ldpm_stats_requests_total here, QueryServer
+  /// ldpm_query_http_requests_total.
   obs::Counter* requests_counter = nullptr;
 };
 
@@ -130,11 +132,6 @@ class HttpServer {
   /// thread. Idempotent.
   void Stop() LDPM_EXCLUDES(stop_mu_, active_mu_);
 
-  /// Requests answered so far (any status, including 4xx).
-  uint64_t requests_served() const {
-    return requests_served_.load(std::memory_order_relaxed);
-  }
-
  private:
   HttpServer(HttpHandler handler, const HttpServerOptions& options);
 
@@ -147,7 +144,6 @@ class HttpServer {
   uint16_t port_ = 0;
   std::thread serve_thread_;
   std::atomic<bool> stopping_{false};
-  std::atomic<uint64_t> requests_served_{0};
 
   /// The connection currently being served, so Stop() can wake a serve
   /// blocked mid-read on a stalled client.

@@ -115,9 +115,7 @@ Status IngestServer::Stop() {
   if (accept_thread_.joinable()) accept_thread_.join();
   // The accept thread is joined, so connections_ can no longer grow: move
   // the list out under its lock and run the whole drain on the local copy,
-  // so readers are joined without connections_mu_ held (a concurrent
-  // active_connections() probe must never block for the length of a
-  // drain).
+  // so no reader is joined with connections_mu_ held.
   std::vector<std::unique_ptr<Connection>> to_drain;
   {
     core::MutexLock lock(connections_mu_);
@@ -151,28 +149,6 @@ Status IngestServer::Stop() {
   return stop_status_;
 }
 
-IngestServerStats IngestServer::stats() const {
-  IngestServerStats stats;
-  stats.connections_accepted = connections_accepted_->Value();
-  stats.connections_shed = connections_shed_->Value();
-  stats.frames_routed = frames_routed_->Value();
-  stats.batches_enqueued = batches_enqueued_->Value();
-  stats.bytes_routed = bytes_routed_->Value();
-  stats.connections_reaped = connections_reaped_->Value();
-  stats.sessions_resumed = sessions_resumed_->Value();
-  stats.acks_sent = acks_sent_->Value();
-  return stats;
-}
-
-size_t IngestServer::active_connections() const {
-  core::MutexLock lock(connections_mu_);
-  size_t active = 0;
-  for (const auto& connection : connections_) {
-    if (!connection->finished.load(std::memory_order_acquire)) ++active;
-  }
-  return active;
-}
-
 void IngestServer::AcceptLoop() {
   for (;;) {
     auto accepted = listener_.Accept();
@@ -193,9 +169,9 @@ void IngestServer::AcceptLoop() {
     }
     // Hold connections_mu_ only for the membership decision: the shed
     // path's socket I/O and the reader spawn below run without it (a
-    // stats probe or a stopping server must never wait on a slow shed
-    // peer). Spawning outside the lock is safe because Stop() joins this
-    // thread before it touches connections_.
+    // stopping server must never wait on a slow shed peer). Spawning
+    // outside the lock is safe because Stop() joins this thread before it
+    // touches connections_.
     Connection* connection = nullptr;
     {
       core::MutexLock lock(connections_mu_);
@@ -232,7 +208,7 @@ void IngestServer::AcceptLoop() {
           "IngestServer: connection limit (" +
           std::to_string(options_.max_connections) + ") reached");
       // Count before replying: a client that has read the rejection must
-      // already see it in stats() and /metrics.
+      // already see it in /metrics.
       connections_shed_->Increment();
       SendReply(*accepted, outcome, 0, 0);
       drain_available();

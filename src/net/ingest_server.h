@@ -114,29 +114,6 @@ struct IngestServerOptions {
   obs::MetricsRegistry* metrics = nullptr;
 };
 
-/// Monotonic counters describing everything the server has done so far.
-/// A point-in-time view over the server's registry counters (the same
-/// series /stats serves).
-struct IngestServerStats {
-  uint64_t connections_accepted = 0;
-  /// Connections rejected at accept (connection cap) or dropped by the
-  /// budget shed timeout.
-  uint64_t connections_shed = 0;
-  /// Whole collection frames routed into the collector.
-  uint64_t frames_routed = 0;
-  /// Wire batches handed to engines (empty-payload frames route without
-  /// enqueueing work).
-  uint64_t batches_enqueued = 0;
-  /// Bytes of routed frames (excluding preambles and partial tails).
-  uint64_t bytes_routed = 0;
-  /// Idle connections reaped by the read deadline.
-  uint64_t connections_reaped = 0;
-  /// v2 sessions re-attached by a reconnecting client.
-  uint64_t sessions_resumed = 0;
-  /// Ack records written to v2 clients.
-  uint64_t acks_sent = 0;
-};
-
 /// The listening front-end (see the file comment).
 class IngestServer {
  public:
@@ -167,11 +144,6 @@ class IngestServer {
   /// True once Stop() has begun (readers observe this between blocking
   /// operations).
   bool stopping() const { return stopping_.load(std::memory_order_acquire); }
-
-  IngestServerStats stats() const;
-
-  /// Connections currently being served (accepted, not yet finished).
-  size_t active_connections() const;
 
  private:
   struct Connection {
@@ -249,7 +221,7 @@ class IngestServer {
   std::thread accept_thread_;
   std::atomic<bool> stopping_{false};
 
-  mutable core::Mutex connections_mu_;
+  core::Mutex connections_mu_;
   std::vector<std::unique_ptr<Connection>> connections_
       LDPM_GUARDED_BY(connections_mu_);
 
@@ -263,8 +235,8 @@ class IngestServer {
   Status stop_status_ LDPM_GUARDED_BY(stop_mu_);
 
   /// Server metrics, owned by metrics_ (options_.metrics or the
-  /// collector's registry). The IngestServerStats accessors read the same
-  /// counters, so the admin endpoint and the in-process view always agree.
+  /// collector's registry). They are the server's only counts: tests and
+  /// tools read them back through the registry, as /stats does.
   obs::MetricsRegistry* metrics_ = nullptr;
   obs::Counter* connections_accepted_ = nullptr;
   obs::Counter* connections_shed_ = nullptr;

@@ -83,10 +83,6 @@ class QueryServer {
   /// Stops accepting, wakes any in-flight request read, joins. Idempotent.
   void Stop() { http_->Stop(); }
 
-  /// Requests answered so far (any status). Also published as
-  /// ldpm_query_http_requests_total.
-  uint64_t requests_served() const { return http_->requests_served(); }
-
   /// The collection's cache (created now if this is its first touch) —
   /// the library-side view of exactly what HTTP answers serve, for
   /// smoke tests that diff the two.

@@ -71,10 +71,6 @@ class StatsServer {
   /// thread. Idempotent.
   void Stop() { http_->Stop(); }
 
-  /// Requests answered so far (any status). Also published into the
-  /// served registry as ldpm_stats_requests_total.
-  uint64_t requests_served() const { return http_->requests_served(); }
-
  private:
   explicit StatsServer(std::unique_ptr<HttpServer> http)
       : http_(std::move(http)) {}

@@ -527,7 +527,7 @@ TEST(Collector, UnregisterReleasesEngineOutsideTheRegistryLock) {
   // hardware, enqueued in small batches so it is underway, not pending.
   for (int batch = 0; batch < 50; ++batch) {
     std::vector<uint64_t> rows(1000, 0x2A5);
-    ASSERT_TRUE(slow->IngestRows(std::move(rows), /*fast_path=*/false).ok());
+    ASSERT_TRUE(slow->IngestPopulation(rows, /*fast_path=*/false).ok());
   }
 
   const auto unregister_start = std::chrono::steady_clock::now();

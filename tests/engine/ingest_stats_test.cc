@@ -1,15 +1,17 @@
-// Dedicated tests for engine::IngestStats: batch counting, report
-// accounting across ingest paths, the drain-barrier interaction (stats are
-// taken only after a full flush), and window reset.
+// The engine's throughput accounting lives only in its metrics registry.
+// These are the registry-contract tests: every enqueue path counts one
+// batch, the absorb counters agree with the shard state after a flush,
+// and Reset() clears shard state while the counters stay monotonic (the
+// Prometheus contract scrapers rely on).
 
-#include "engine/ingest_stats.h"
-
+#include <algorithm>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "engine/sharded_aggregator.h"
+#include "obs/metrics.h"
 #include "protocols/factory.h"
 #include "protocols/test_util.h"
 #include "protocols/wire.h"
@@ -18,37 +20,45 @@ namespace ldpm {
 namespace {
 
 using engine::EngineOptions;
-using engine::IngestStats;
 using engine::ShardedAggregator;
 using test::EncodeReportStream;
 using test::MakeConfig;
 
-TEST(IngestStats, ToStringRendersAllFields) {
-  IngestStats stats;
-  stats.reports = 1200;
-  stats.batches = 3;
-  stats.wall_seconds = 0.5;
-  stats.reports_per_second = 2400.0;
-  stats.bits_per_second = 31200.0;
-  stats.per_shard_reports = {400, 800};
-  const std::string s = stats.ToString();
-  EXPECT_NE(s.find("1200 reports"), std::string::npos) << s;
-  EXPECT_NE(s.find("3 batches"), std::string::npos) << s;
-  EXPECT_NE(s.find("[400, 800]"), std::string::npos) << s;
+constexpr char kBatches[] = "ldpm_engine_batches_enqueued_total";
+constexpr char kReports[] = "ldpm_engine_reports_absorbed_total";
+constexpr char kBits[] = "ldpm_engine_report_bits_total";
+
+uint64_t Counter(const ShardedAggregator& engine, const char* name) {
+  return engine.metrics()->CounterValue(name);
 }
 
-TEST(IngestStats, DefaultIsEmpty) {
-  IngestStats stats;
-  EXPECT_EQ(stats.reports, 0u);
-  EXPECT_EQ(stats.batches, 0u);
-  EXPECT_EQ(stats.wall_seconds, 0.0);
-  EXPECT_EQ(stats.reports_per_second, 0.0);
-  EXPECT_TRUE(stats.per_shard_reports.empty());
+// Sums the per-shard absorbed counts from a snapshot of every shard.
+uint64_t ShardReports(ShardedAggregator& engine) {
+  auto snapshots = engine.SnapshotShards();
+  EXPECT_TRUE(snapshots.ok()) << snapshots.status().ToString();
+  uint64_t total = 0;
+  for (const AggregatorSnapshot& snapshot : *snapshots) {
+    total += snapshot.reports_absorbed;
+  }
+  return total;
 }
 
-// Every enqueue path counts as one batch: report batches, wire frames, and
-// row chunks (IngestPopulation splits into one chunk per shard).
-TEST(IngestStats, CountsBatchesAcrossIngestPaths) {
+// The series exist, at zero, before anything is ingested: a scrape of an
+// idle engine shows them rather than omitting them.
+TEST(EngineCounters, FreshEnginePublishesZeroedSeries) {
+  auto eng = ShardedAggregator::Create(ProtocolKind::kInpHT, MakeConfig(6, 2));
+  ASSERT_TRUE(eng.ok());
+  const std::vector<std::string> names = (*eng)->metrics()->Names();
+  for (const char* name : {kBatches, kReports, kBits}) {
+    EXPECT_NE(std::find(names.begin(), names.end(), name), names.end())
+        << name;
+    EXPECT_EQ(Counter(**eng, name), 0u) << name;
+  }
+}
+
+// Every enqueue path adds exactly one batch per work item: a report
+// batch, a wire frame, and each IngestPopulation chunk (one per shard).
+TEST(EngineCounters, EveryEnqueuePathCountsOneBatch) {
   const ProtocolConfig config = MakeConfig(6, 2);
   EngineOptions options;
   options.num_shards = 2;
@@ -58,33 +68,39 @@ TEST(IngestStats, CountsBatchesAcrossIngestPaths) {
   ASSERT_TRUE(encoder.ok());
   const std::vector<Report> reports = EncodeReportStream(**encoder, 600, 9);
 
-  // 2 report batches + 1 wire frame + 2 row chunks = 5 batches.
   ASSERT_TRUE((*eng)
                   ->IngestBatch(std::vector<Report>(reports.begin(),
                                                     reports.begin() + 200))
                   .ok());
+  EXPECT_EQ(Counter(**eng, kBatches), 1u);
   ASSERT_TRUE((*eng)
                   ->IngestBatch(std::vector<Report>(reports.begin() + 200,
                                                     reports.begin() + 400))
                   .ok());
+  EXPECT_EQ(Counter(**eng, kBatches), 2u);
   auto frame = SerializeReportBatch(
       ProtocolKind::kMargPS, config,
       std::vector<Report>(reports.begin() + 400, reports.end()));
   ASSERT_TRUE(frame.ok());
   ASSERT_TRUE((*eng)->IngestWireBatch(*frame).ok());
+  EXPECT_EQ(Counter(**eng, kBatches), 3u);
+  // Two shards: the population splits into two chunks.
   ASSERT_TRUE((*eng)->IngestPopulation(std::vector<uint64_t>(100, 5)).ok());
+  EXPECT_EQ(Counter(**eng, kBatches), 5u);
+  // Empty inputs enqueue nothing.
+  ASSERT_TRUE((*eng)->IngestBatch({}).ok());
+  ASSERT_TRUE((*eng)->IngestWireBatch({}).ok());
+  ASSERT_TRUE((*eng)->IngestPopulation({}).ok());
+  EXPECT_EQ(Counter(**eng, kBatches), 5u);
 
-  auto stats = (*eng)->Stats();
-  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-  EXPECT_EQ(stats->batches, 5u);
-  EXPECT_EQ(stats->reports, 700u);  // 600 encoded + 100 rows
-  EXPECT_GT(stats->wall_seconds, 0.0);
-  EXPECT_GT(stats->reports_per_second, 0.0);
+  ASSERT_TRUE((*eng)->Flush().ok());
+  EXPECT_EQ(Counter(**eng, kReports), 700u);  // 600 encoded + 100 rows
 }
 
-// Stats() flushes first: the counts always reflect every enqueued report,
-// never a snapshot racing the shard workers mid-queue.
-TEST(IngestStats, StatsObserveTheDrainBarrier) {
+// After Flush() the absorb counters are exact: they equal the shard
+// state (ReportsAbsorbed, the per-shard snapshots) and the paper's
+// Table 2 bit count, (d+1) bits per InpHT report.
+TEST(EngineCounters, CountersMatchShardStateAfterFlush) {
   const ProtocolConfig config = MakeConfig(6, 2);
   EngineOptions options;
   options.num_shards = 3;
@@ -92,7 +108,7 @@ TEST(IngestStats, StatsObserveTheDrainBarrier) {
   ASSERT_TRUE(eng.ok());
   auto encoder = CreateProtocol(ProtocolKind::kInpHT, config);
   ASSERT_TRUE(encoder.ok());
-  // Many small batches so work is queued on every shard when Stats runs.
+  // Many small batches so work is queued on every shard at the flush.
   const std::vector<Report> reports = EncodeReportStream(**encoder, 3000, 13);
   for (size_t begin = 0; begin < reports.size(); begin += 100) {
     ASSERT_TRUE((*eng)
@@ -100,20 +116,21 @@ TEST(IngestStats, StatsObserveTheDrainBarrier) {
                         reports.begin() + begin, reports.begin() + begin + 100))
                     .ok());
   }
-  auto stats = (*eng)->Stats();
-  ASSERT_TRUE(stats.ok());
-  EXPECT_EQ(stats->reports, 3000u);
-  EXPECT_EQ(stats->batches, 30u);
-  ASSERT_EQ(stats->per_shard_reports.size(), 3u);
-  uint64_t total = 0;
-  for (uint64_t per_shard : stats->per_shard_reports) total += per_shard;
-  EXPECT_EQ(total, stats->reports);
-  const double bits_per_report = static_cast<double>(config.d) + 1.0;
-  EXPECT_EQ(stats->bits, bits_per_report * 3000.0);
+  ASSERT_TRUE((*eng)->Flush().ok());
+  auto absorbed = (*eng)->ReportsAbsorbed();
+  ASSERT_TRUE(absorbed.ok());
+  EXPECT_EQ(*absorbed, 3000u);
+  EXPECT_EQ(Counter(**eng, kReports), *absorbed);
+  EXPECT_EQ(ShardReports(**eng), *absorbed);
+  EXPECT_EQ(Counter(**eng, kBatches), 30u);
+  EXPECT_EQ(Counter(**eng, kBits),
+            static_cast<uint64_t>(config.d + 1) * 3000u);
 }
 
-// Reset clears the batch counter and the throughput window.
-TEST(IngestStats, ResetClearsWindowAndBatches) {
+// Reset() clears the shard state but never rewinds a counter: scrapers
+// compute rates from deltas, and a counter going backwards reads as a
+// process restart.
+TEST(EngineCounters, ResetClearsShardsButCountersStayMonotonic) {
   const ProtocolConfig config = MakeConfig(6, 2);
   auto eng = ShardedAggregator::Create(ProtocolKind::kInpHT, config);
   ASSERT_TRUE(eng.ok());
@@ -121,12 +138,22 @@ TEST(IngestStats, ResetClearsWindowAndBatches) {
   ASSERT_TRUE(encoder.ok());
   ASSERT_TRUE((*eng)->IngestBatch(EncodeReportStream(**encoder, 100, 3)).ok());
   ASSERT_TRUE((*eng)->Reset().ok());
-  auto stats = (*eng)->Stats();
-  ASSERT_TRUE(stats.ok());
-  EXPECT_EQ(stats->reports, 0u);
-  EXPECT_EQ(stats->batches, 0u);
-  EXPECT_EQ(stats->wall_seconds, 0.0);
-  EXPECT_EQ(stats->reports_per_second, 0.0);
+
+  auto absorbed = (*eng)->ReportsAbsorbed();
+  ASSERT_TRUE(absorbed.ok());
+  EXPECT_EQ(*absorbed, 0u);
+  EXPECT_EQ(ShardReports(**eng), 0u);
+  EXPECT_EQ(Counter(**eng, kBatches), 1u);
+  EXPECT_EQ(Counter(**eng, kReports), 100u);
+  EXPECT_EQ(Counter(**eng, kBits), 700u);
+
+  ASSERT_TRUE((*eng)->IngestBatch(EncodeReportStream(**encoder, 50, 4)).ok());
+  absorbed = (*eng)->ReportsAbsorbed();
+  ASSERT_TRUE(absorbed.ok());
+  EXPECT_EQ(*absorbed, 50u);
+  EXPECT_EQ(Counter(**eng, kBatches), 2u);
+  EXPECT_EQ(Counter(**eng, kReports), 150u);
+  EXPECT_EQ(Counter(**eng, kBits), 1050u);
 }
 
 }  // namespace

@@ -1,13 +1,15 @@
 // Tests for the sharded aggregation engine: shard-count invariance (the
 // merged S-shard state must be bitwise-identical to a single aggregator fed
-// the same report stream), snapshot-based re-sharding, stats, and error
-// surfacing.
+// the same report stream), snapshot-based re-sharding, per-shard counts,
+// merged-cache invalidation, and error surfacing.
 
 #include "engine/sharded_aggregator.h"
 
 #include <algorithm>
+#include <chrono>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -210,7 +212,7 @@ TEST(ShardedAggregator, SnapshotRestoresAcrossShardCounts) {
   }
 }
 
-TEST(ShardedAggregator, StatsCountPerShard) {
+TEST(ShardedAggregator, ReportsCountPerShard) {
   const ProtocolConfig config = MakeConfig(6, 2);
   EngineOptions options;
   options.num_shards = 3;
@@ -227,17 +229,52 @@ TEST(ShardedAggregator, StatsCountPerShard) {
                         reports.begin() + (b + 1) * 300))
                     .ok());
   }
-  auto stats = (*eng)->Stats();
-  ASSERT_TRUE(stats.ok());
-  EXPECT_EQ(stats->reports, 900u);
-  ASSERT_EQ(stats->per_shard_reports.size(), 3u);
-  for (uint64_t per_shard : stats->per_shard_reports) {
-    EXPECT_EQ(per_shard, 300u);
+  auto total = (*eng)->ReportsAbsorbed();
+  ASSERT_TRUE(total.ok());
+  EXPECT_EQ(*total, 900u);
+  auto snapshots = (*eng)->SnapshotShards();
+  ASSERT_TRUE(snapshots.ok());
+  ASSERT_EQ(snapshots->size(), 3u);
+  for (const AggregatorSnapshot& shard : *snapshots) {
+    EXPECT_EQ(shard.reports_absorbed, 300u);
+    EXPECT_GT(shard.total_report_bits, 0.0);
   }
-  EXPECT_GT(stats->wall_seconds, 0.0);
-  EXPECT_GT(stats->reports_per_second, 0.0);
-  EXPECT_GT(stats->bits_per_second, 0.0);
-  EXPECT_FALSE(stats->ToString().empty());
+}
+
+// A query that runs while a producer waits on the shared budget must not
+// cache the pre-push state as current: once the producer's IngestBatch
+// has returned, the next query includes its batch. (The merged cache is
+// invalidated after the queue push; a bump before it would let this query
+// record the new epoch, drain a queue still missing the batch, and serve
+// that state until some later ingest.)
+TEST(ShardedAggregator, QueryDuringBudgetWaitDoesNotCacheStaleState) {
+  const ProtocolConfig config = MakeConfig(6, 2);
+  auto budget = std::make_shared<engine::IngestBudget>(1);
+  EngineOptions options;
+  options.shared_budget = budget;
+  auto eng = ShardedAggregator::Create(ProtocolKind::kInpHT, config, options);
+  ASSERT_TRUE(eng.ok());
+  auto encoder = CreateProtocol(ProtocolKind::kInpHT, config);
+  ASSERT_TRUE(encoder.ok());
+  std::vector<Report> reports = EncodeReportStream(**encoder, 500, 43);
+
+  budget->Acquire();  // hold the only slot: the producer blocks on it
+  Status ingested;
+  std::thread producer(
+      [&] { ingested = (*eng)->IngestBatch(std::move(reports)); });
+  // Only widens the window in which the producer is parked in the budget
+  // wait; the assertions hold under every interleaving.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  auto during = (*eng)->Merged();
+  ASSERT_TRUE(during.ok());
+  EXPECT_EQ((*during)->reports_absorbed(), 0u);
+  budget->Release();
+  producer.join();
+  ASSERT_TRUE(ingested.ok()) << ingested.ToString();
+
+  auto after = (*eng)->Merged();
+  ASSERT_TRUE(after.ok());
+  EXPECT_EQ((*after)->reports_absorbed(), 500u);
 }
 
 TEST(ShardedAggregator, ResetClearsAllShards) {

@@ -33,6 +33,16 @@ HttpResponse Echo(const ldpm::net::HttpRequest& request) {
   return {200, "text/plain", body + "\n"};
 }
 
+constexpr char kRequests[] = "test_http_requests_total";
+
+/// Options wiring the server's request count into `metrics` as kRequests
+/// (the registry counter is the server's only request count).
+HttpServerOptions CountedInto(obs::MetricsRegistry& metrics) {
+  HttpServerOptions options;
+  options.requests_counter = metrics.GetCounter(kRequests, "test");
+  return options;
+}
+
 std::unique_ptr<HttpServer> StartEcho(
     HttpServerOptions options = HttpServerOptions()) {
   auto server = HttpServer::Start(Echo, options);
@@ -41,13 +51,14 @@ std::unique_ptr<HttpServer> StartEcho(
 }
 
 TEST(HttpServer, ParsesPathQueryAndParams) {
-  auto server = StartEcho();
+  obs::MetricsRegistry metrics;
+  auto server = StartEcho(CountedInto(metrics));
   const std::string response =
       HttpGet(server->port(), "/x/y?a=1&flag&b=2&a=shadowed");
   EXPECT_NE(response.find("HTTP/1.1 200 OK"), std::string::npos);
   EXPECT_EQ(ResponseBody(response),
             "method=GET;path=/x/y;query=a=1&flag&b=2&a=shadowed;a=1;flag=\n");
-  EXPECT_EQ(server->requests_served(), 1u);
+  EXPECT_EQ(metrics.CounterValue(kRequests), 1u);
 }
 
 TEST(HttpServer, NoQueryStringMeansNoParams) {
@@ -57,13 +68,15 @@ TEST(HttpServer, NoQueryStringMeansNoParams) {
 }
 
 TEST(HttpServer, NonGetMethodIs405BeforeTheHandlerRuns) {
-  auto server = StartEcho();
+  obs::MetricsRegistry metrics;
+  auto server = StartEcho(CountedInto(metrics));
   const std::string response = HttpRequest(
       server->port(), "POST /x HTTP/1.1\r\nHost: x\r\n\r\n");
   EXPECT_NE(response.find("HTTP/1.1 405"), std::string::npos);
   EXPECT_EQ(ResponseBody(response), "only GET is supported\n");
-  // Still counted: requests_served is the operational total, any status.
-  EXPECT_EQ(server->requests_served(), 1u);
+  // Still counted: the request counter is the operational total, any
+  // status.
+  EXPECT_EQ(metrics.CounterValue(kRequests), 1u);
 }
 
 TEST(HttpServer, GarbageRequestLineIs400Malformed) {
@@ -113,7 +126,8 @@ TEST(HttpServer, SlowlorisStallMidHeadIs408UnderIdleTimeout) {
 }
 
 TEST(HttpServer, PipelinedSecondRequestIsIgnored) {
-  auto server = StartEcho();
+  obs::MetricsRegistry metrics;
+  auto server = StartEcho(CountedInto(metrics));
   // Two complete requests in one write: the server answers the first and
   // closes (Connection: close, no keep-alive) — exactly one status line.
   const std::string response = HttpRequest(
@@ -130,18 +144,15 @@ TEST(HttpServer, PipelinedSecondRequestIsIgnored) {
   EXPECT_NE(ResponseBody(response).find("path=/first"), std::string::npos);
   EXPECT_EQ(response.find("/second"), std::string::npos);
   EXPECT_NE(response.find("Connection: close"), std::string::npos);
-  EXPECT_EQ(server->requests_served(), 1u);
+  EXPECT_EQ(metrics.CounterValue(kRequests), 1u);
 }
 
 TEST(HttpServer, RequestsCounterTracksAnsweredRequestsAnyStatus) {
   obs::MetricsRegistry metrics;
-  HttpServerOptions options;
-  options.requests_counter =
-      metrics.GetCounter("test_http_requests_total", "test");
-  auto server = StartEcho(options);
+  auto server = StartEcho(CountedInto(metrics));
   HttpGet(server->port(), "/ok");
   HttpRequest(server->port(), "PUT /x HTTP/1.1\r\n\r\n");  // 405, still counted
-  EXPECT_EQ(metrics.CounterValue("test_http_requests_total"), 2u);
+  EXPECT_EQ(metrics.CounterValue(kRequests), 2u);
 }
 
 TEST(HttpServer, StopIsIdempotentAndServerRestartsCleanly) {

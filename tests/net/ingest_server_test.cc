@@ -23,6 +23,7 @@
 
 #include "net/frame_client.h"
 #include "net/protocol.h"
+#include "obs/metrics.h"
 #include "protocols/test_util.h"
 #include "protocols/wire.h"
 
@@ -53,6 +54,17 @@ std::unique_ptr<Collector> MustCreate(const CollectorOptions& options = {}) {
   auto collector = Collector::Create(options);
   EXPECT_TRUE(collector.ok()) << collector.status().ToString();
   return *std::move(collector);
+}
+
+/// The server's ldpm_net_* counters, read from the registry it publishes
+/// into (the collector's, unless the options name another).
+uint64_t NetCounter(const Collector& collector, const char* name) {
+  return collector.metrics()->CounterValue(name);
+}
+
+/// Connections whose stream is still being served.
+int64_t ActiveConnections(const Collector& collector) {
+  return collector.metrics()->GaugeValue("ldpm_net_connections_active");
 }
 
 std::unique_ptr<IngestServer> MustStart(
@@ -181,9 +193,9 @@ TEST(IngestServer, ConcurrentClientsMatchDirectIngestFramesBitwise) {
   EXPECT_EQ(failures.load(), 0);
   ASSERT_TRUE(networked->Flush().ok());
 
-  const net::IngestServerStats stats = server->stats();
-  EXPECT_EQ(stats.connections_accepted, static_cast<uint64_t>(kClients));
-  EXPECT_EQ(stats.frames_routed,
+  EXPECT_EQ(NetCounter(*networked, "ldpm_net_connections_accepted_total"),
+            static_cast<uint64_t>(kClients));
+  EXPECT_EQ(NetCounter(*networked, "ldpm_net_frames_routed_total"),
             static_cast<uint64_t>(kClients * 5 * fixture.streams.size()));
   ASSERT_TRUE(server->Stop().ok());
 
@@ -248,17 +260,20 @@ TEST(IngestServer, KillMidStreamKeepsWholeFramesAndShutdownCheckpointHasThem) {
     client->Abort();
 
     // The server notices the dead peer and finishes the connection. Wait
-    // for accepted-then-finished, not just "no active connection" — the
-    // connection may still be sitting in the accept backlog.
+    // for routed-then-finished, not just "no active connection" — the
+    // connection may still be sitting in the accept backlog, or its
+    // reader may not have started (the gauge counts running streams).
     const auto deadline =
         std::chrono::steady_clock::now() + std::chrono::seconds(10);
-    while ((server->stats().connections_accepted < 1 ||
-            server->active_connections() > 0) &&
+    while ((NetCounter(*collector, "ldpm_net_frames_routed_total") < 2 ||
+            ActiveConnections(*collector) > 0) &&
            std::chrono::steady_clock::now() < deadline) {
       std::this_thread::sleep_for(std::chrono::milliseconds(2));
     }
-    EXPECT_EQ(server->stats().connections_accepted, 1u);
-    EXPECT_EQ(server->active_connections(), 0u);
+    EXPECT_EQ(NetCounter(*collector, "ldpm_net_connections_accepted_total"),
+              1u);
+    EXPECT_EQ(NetCounter(*collector, "ldpm_net_frames_routed_total"), 2u);
+    EXPECT_EQ(ActiveConnections(*collector), 0);
 
     // Graceful stop: stop accepting -> drain readers -> Collector::Drain()
     // (which writes the shutdown checkpoint configured above).
@@ -439,11 +454,11 @@ TEST(IngestServer, ShedsConnectionsBeyondTheCap) {
   // second knocks (Connect returns before the accept thread registers it).
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (server->active_connections() < 1 &&
+  while (ActiveConnections(*collector) < 1 &&
          std::chrono::steady_clock::now() < deadline) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  ASSERT_EQ(server->active_connections(), 1u);
+  ASSERT_EQ(ActiveConnections(*collector), 1);
 
   // A raw connection (sending nothing): the TCP accept succeeds but the
   // server immediately replies with the connection-limit error and closes.
@@ -460,7 +475,7 @@ TEST(IngestServer, ShedsConnectionsBeyondTheCap) {
                               message_size)
                   .ok());
   EXPECT_NE(message.find("connection limit"), std::string::npos) << message;
-  EXPECT_EQ(server->stats().connections_shed, 1u);
+  EXPECT_EQ(NetCounter(*collector, "ldpm_net_connections_shed_total"), 1u);
 
   auto finish = first->Finish();
   ASSERT_TRUE(finish.ok()) << finish.status().ToString();
@@ -506,11 +521,12 @@ TEST(IngestServer, StopWhileClientsStreamIsGracefulAndLosesNoRoutedFrame) {
   for (auto& client : clients) client.join();
 
   // Everything the server counted as routed is absorbed (Stop drained).
-  const net::IngestServerStats stats = server->stats();
+  const uint64_t frames_routed =
+      NetCounter(*collector, "ldpm_net_frames_routed_total");
   auto absorbed = handle->ReportsAbsorbed();
   ASSERT_TRUE(absorbed.ok());
-  EXPECT_EQ(*absorbed, stats.frames_routed * 50u);
-  EXPECT_GT(stats.frames_routed, 0u);
+  EXPECT_EQ(*absorbed, frames_routed * 50u);
+  EXPECT_GT(frames_routed, 0u);
 }
 
 TEST(IngestServer, EmptyStreamAndEmptyPayloadFramesAreFine) {
@@ -539,7 +555,7 @@ TEST(IngestServer, EmptyStreamAndEmptyPayloadFramesAreFine) {
     EXPECT_EQ(reply->frames_routed, 1u);
   }
   EXPECT_TRUE(server->Stop().ok());
-  EXPECT_EQ(server->stats().batches_enqueued, 0u);
+  EXPECT_EQ(NetCounter(*collector, "ldpm_net_batches_enqueued_total"), 0u);
 }
 
 TEST(ScanCompleteFrames, ReportsWholePrefixPendingSizeAndEmptyIdError) {
@@ -618,14 +634,14 @@ TEST(IngestServer, IdleConnectionIsReapedByReadDeadline) {
   // plain close — either unblocks this read with data or EOF).
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (server->stats().connections_reaped == 0) {
+  while (NetCounter(*collector, "ldpm_net_connections_reaped_total") == 0) {
     ASSERT_LT(std::chrono::steady_clock::now(), deadline)
         << "idle connection was never reaped";
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
   (void)silent->ReadSome(buf, sizeof(buf),
                          std::chrono::milliseconds(2000));
-  EXPECT_EQ(server->stats().connections_reaped, 1u);
+  EXPECT_EQ(NetCounter(*collector, "ldpm_net_connections_reaped_total"), 1u);
 
   // A live client on the same server is unaffected by the reaper.
   auto client = FrameClient::Connect(kLoopback, server->port());
@@ -667,8 +683,8 @@ TEST(IngestServer, ResumableSessionStreamsAndAcksEndToEnd) {
   // Everything acked: nothing left in the replay buffer.
   EXPECT_EQ(client->unacked_bytes(), 0u);
   EXPECT_EQ(client->reconnects(), 0u);
-  EXPECT_GT(server->stats().acks_sent, 0u);
-  EXPECT_EQ(server->stats().sessions_resumed, 0u);
+  EXPECT_GT(NetCounter(*networked, "ldpm_net_acks_sent_total"), 0u);
+  EXPECT_EQ(NetCounter(*networked, "ldpm_net_sessions_resumed_total"), 0u);
   ASSERT_TRUE(networked->Flush().ok());
   ASSERT_TRUE(server->Stop().ok());
 

@@ -48,7 +48,10 @@ class QueryServerTest : public ::testing::Test {
                                        MakeConfig(4, 2));
     ASSERT_TRUE(handle.ok());
     handle_ = *std::move(handle);
-    ASSERT_TRUE(handle_.IngestRows(SkewedRows(4, 4000, 17)).ok());
+    ASSERT_TRUE(handle_
+                    .IngestPopulation(SkewedRows(4, 4000, 17),
+                                      /*fast_path=*/false)
+                    .ok());
     ASSERT_TRUE(handle_.Flush().ok());
     auto server = QueryServer::Start(collector_.get(), QueryServerOptions());
     ASSERT_TRUE(server.ok()) << server.status().ToString();
@@ -122,7 +125,9 @@ TEST_F(QueryServerTest, WatermarkAndEpochAdvanceOverHttp) {
       ResponseBody(Get("/v1/marginal?collection=c&attrs=0,1"));
   EXPECT_NE(second.find("\"epoch\":1"), std::string::npos);
   // New ingest moves the watermark; the next request sees epoch 2.
-  ASSERT_TRUE(handle_.IngestRows(SkewedRows(4, 500, 18)).ok());
+  ASSERT_TRUE(
+      handle_.IngestPopulation(SkewedRows(4, 500, 18), /*fast_path=*/false)
+          .ok());
   ASSERT_TRUE(handle_.Flush().ok());
   const std::string third =
       ResponseBody(Get("/v1/marginal?collection=c&attrs=0"));
@@ -235,9 +240,8 @@ TEST_F(QueryServerTest, HttpRequestCounterCountsAllStatuses) {
   Get("/healthz");
   Get("/nope");
   Get("/v1/marginal?collection=c&attrs=0");
-  EXPECT_GE(collector_->metrics()->CounterValue("ldpm_query_http_requests_total"),
+  EXPECT_EQ(collector_->metrics()->CounterValue("ldpm_query_http_requests_total"),
             3u);
-  EXPECT_GE(server_->requests_served(), 3u);
 }
 
 }  // namespace

@@ -62,7 +62,7 @@ engine::CollectionHandle Fill(Collector& collector, const std::string& id,
                               const std::vector<uint64_t>& rows) {
   auto handle = collector.Register(id, kind, config);
   EXPECT_TRUE(handle.ok()) << handle.status().ToString();
-  EXPECT_TRUE(handle->IngestRows(rows).ok());
+  EXPECT_TRUE(handle->IngestPopulation(rows, /*fast_path=*/false).ok());
   EXPECT_TRUE(handle->Flush().ok());
   return *std::move(handle);
 }
@@ -219,7 +219,9 @@ TEST(MarginalCacheEpochs, WatermarkInvalidatesHitsAndRefreshesCount) {
 
   // Ingest advances the watermark (enqueue alone moves the counter);
   // the next read must rebuild.
-  ASSERT_TRUE(handle.IngestRows(SkewedRows(d, 500, 6)).ok());
+  ASSERT_TRUE(
+      handle.IngestPopulation(SkewedRows(d, 500, 6), /*fast_path=*/false)
+          .ok());
   EXPECT_GT((*cache)->LiveWatermark(), (*first)->watermark());
   auto third = (*cache)->Get();
   ASSERT_TRUE(third.ok());
@@ -274,7 +276,9 @@ TEST(MarginalCacheEpochs, ServeStaleAnswersFromOldEpochDuringRebuild) {
   // Make the snapshot stale, then stall the rebuild: a reader arriving
   // while another thread rebuilds must be answered from the old epoch
   // instead of blocking.
-  ASSERT_TRUE(handle.IngestRows(SkewedRows(d, 500, 8)).ok());
+  ASSERT_TRUE(
+      handle.IngestPopulation(SkewedRows(d, 500, 8), /*fast_path=*/false)
+          .ok());
   failpoint::Spec stall;
   stall.mode = failpoint::Mode::kDelay;
   stall.delay = std::chrono::milliseconds(400);
