@@ -19,9 +19,8 @@
 // had to do with them. perreport-vs-batch isolates the in-memory gain.
 //
 // The engine section feeds the wire frames through an engine::Collector
-// collection at 1/2/4 shards (the 1-shard row exercises the lock-free SPSC
-// queue path), and a mux section routes an interleaved multi-collection
-// frame stream through Collector::IngestFrames.
+// collection at 1/2/4 shards, and a mux section routes an interleaved
+// multi-collection frame stream through Collector::IngestFrames.
 // Shard scaling requires cores: expect flat numbers on one hardware thread.
 // The checkpoint section measures CheckpointTo / RestoreFrom end to end
 // (snapshot + serialize + CRC32C + atomic write, and the reverse).
@@ -200,8 +199,8 @@ int main(int argc, char** argv) {
     LDPM_CHECK((*perreport)->total_report_bits() ==
                (*wire)->total_report_bits());
 
-    // Engine wire ingest at 1/2/4 shards (1 shard = SPSC queue fast path),
-    // hosted as one collection of a Collector.
+    // Engine wire ingest at 1/2/4 shards, hosted as one collection of a
+    // Collector.
     for (int shards : shard_counts) {
       ldpm::engine::CollectorOptions options;
       options.engine_defaults.num_shards = shards;

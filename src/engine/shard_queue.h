@@ -1,38 +1,28 @@
-// Bounded work queue feeding one shard worker of the sharded aggregation
-// engine, with a lock-free single-producer fast path.
+// Bounded FIFO work queue feeding one shard worker of the sharded
+// aggregation engine.
 //
 // Producers push batches of work and block when the queue is full
 // (backpressure instead of unbounded memory growth under overload). The
-// single consumer — the shard's worker thread — pops batches and marks each
-// one done, which lets Flush() implement a precise drain barrier: the queue
-// is drained only when no batch is queued AND the worker is not mid-batch.
+// single consumer — the shard's worker thread — pops batches in push order.
+// Because it is the only consumer, its return to Pop() means it has finished
+// everything it popped before; Pop() records that, and WaitDrained() uses
+// the record as a barrier: it waits for the items pushed before it was
+// called, never for the queue to run empty, so a producer that keeps the
+// queue full cannot stall a flush.
 //
-// Two internal paths share the external contract:
-//
-//  * SPSC ring — the first thread to push registers as the ring producer
-//    and from then on pushes through a fixed-capacity lock-free ring
-//    buffer: no mutex, no condvar signalling in steady state (the producer
-//    only takes the mutex to wake a consumer it observed going idle).
-//  * MPSC mutex queue — any other producer thread (and the ring producer
-//    when the ring is full) pushes through the original mutex+condvar
-//    deque, which provides the blocking backpressure wait. Total pending
-//    work is bounded by max_pending (deque) plus the ring capacity
-//    (max_pending rounded down to a power of two), i.e. under twice the
-//    configured bound.
-//
-// The consumer drains both; relative order between the two paths is
-// unspecified, which is fine for the engine because absorbing batches
-// commutes. All condition variables are notified AFTER the mutex is
-// released, so a woken thread never immediately blocks on the lock the
-// notifier still holds.
+// One mutex guards all state. A condition variable is notified only when a
+// waiter on it is recorded (a drain waiter only once its ticket is reached,
+// blocked producers only once the queue is down to half), and, except when
+// the consumer is about to sleep, after the mutex is released, so a steady
+// stream of pushes and pops costs one lock each and no wakeups.
 
 #ifndef LDPM_ENGINE_SHARD_QUEUE_H_
 #define LDPM_ENGINE_SHARD_QUEUE_H_
 
-#include <atomic>
+#include <algorithm>
 #include <cstdint>
 #include <deque>
-#include <thread>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -57,126 +47,80 @@ struct WorkItem {
   bool fast_path = false;
 };
 
-/// Bounded single-consumer work queue feeding one shard worker, with a
-/// lock-free SPSC ring fast path and a blocking MPSC mutex fallback (see
-/// the file comment for the full contract). Producers call Push; the one
-/// consumer loops Pop/Done; control threads use WaitDrained/Close.
+/// Bounded multi-producer, single-consumer FIFO feeding one shard worker
+/// (see the file comment for the contract). Producers call Push; the one
+/// consumer loops on Pop; control threads use WaitDrained/Close.
 class ShardQueue {
  public:
-  /// Creates a queue whose mutex path blocks producers beyond
-  /// `max_pending` items; the SPSC ring adds up to max_pending more
-  /// (rounded down to a power of two), so total buffering stays under
-  /// twice the configured bound.
-  explicit ShardQueue(size_t max_pending)
-      : max_pending_(max_pending), ring_(RingCapacity(max_pending)) {}
+  /// Creates a queue that holds at most `max_pending` items; producers
+  /// block beyond that.
+  explicit ShardQueue(size_t max_pending) : max_pending_(max_pending) {}
 
   /// Enqueues one work item; blocks while the queue is at capacity.
   /// Returns false (dropping the item) if the queue has been closed.
   bool Push(WorkItem item) {
-    if (IsRingProducer()) {
-      const size_t tail = ring_tail_.load(std::memory_order_relaxed);
-      if (tail - ring_head_.load(std::memory_order_acquire) < ring_.size()) {
-        // Close() handshake: announce the in-flight push, THEN check
-        // closed. Either this load sees the close and rejects before
-        // committing, or Close() spins on the announcement until the
-        // commit is visible — so a push that returned true is always
-        // drained by the consumer, never stranded in the ring.
-        ring_push_pending_.store(true, std::memory_order_seq_cst);
-        if (closed_.load(std::memory_order_seq_cst)) {
-          ring_push_pending_.store(false, std::memory_order_seq_cst);
-          return false;
-        }
-        ring_[tail & (ring_.size() - 1)] = std::move(item);
-        ring_tail_.store(tail + 1, std::memory_order_seq_cst);
-        ring_push_pending_.store(false, std::memory_order_seq_cst);
-        WakeIdleConsumer();
-        return true;
-      }
-      // Ring full: fall through to the blocking mutex path for the
-      // backpressure wait. (Total pending work is bounded by the deque's
-      // max_pending plus the ring capacity.)
-    }
+    bool wake_consumer = false;
     {
       core::MutexLock lock(mu_);
-      while (!closed_.load(std::memory_order_relaxed) &&
-             items_.size() >= max_pending_) {
+      while (!closed_ && items_.size() >= max_pending_) {
+        ++full_waiters_;
         not_full_.Wait(mu_);
+        --full_waiters_;
       }
-      if (closed_.load(std::memory_order_relaxed)) return false;
+      if (closed_) return false;
       items_.push_back(std::move(item));
+      ++pushed_;
+      wake_consumer = std::exchange(consumer_waiting_, false);
     }
-    not_empty_.NotifyOne();
+    if (wake_consumer) not_empty_.NotifyOne();
     return true;
   }
 
-  /// Dequeues the next item; blocks while the queue is empty. Returns false
-  /// once the queue is closed and fully drained. The consumer must call
-  /// Done() after finishing each popped item.
+  /// Marks the previously popped item done, then dequeues the next item,
+  /// blocking while the queue is empty. Returns false once the queue is
+  /// closed and fully drained. The consumer finishes each item before
+  /// calling Pop again.
   bool Pop(WorkItem& out) {
-    for (;;) {
-      // Claim "mid-batch" BEFORE looking for work, so WaitDrained cannot
-      // observe an item gone from the ring but not yet marked in flight.
-      busy_.store(true, std::memory_order_seq_cst);
-      if (PopRing(out)) return true;
-      core::ReleasableMutexLock lock(mu_);
+    bool popped = false;
+    bool wake_drained = false;
+    bool wake_producers = false;
+    {
+      core::MutexLock lock(mu_);
+      // The one consumer is back, so every item it popped is done.
+      done_ = pushed_ - items_.size();
+      if (done_ >= drain_at_) {
+        drain_at_ = kNoDrainWaiter;
+        wake_drained = true;
+      }
+      while (!closed_ && items_.empty()) {
+        // About to sleep, so wake drain waiters now, under the lock.
+        if (std::exchange(wake_drained, false)) drained_.NotifyAll();
+        consumer_waiting_ = true;
+        not_empty_.Wait(mu_);
+      }
       if (!items_.empty()) {
         out = std::move(items_.front());
         items_.pop_front();
-        // busy_ stays true until Done().
-        lock.Release();
-        not_full_.NotifyOne();
-        return true;
+        popped = true;
+        // Wake blocked producers once the queue is down to half, not on
+        // every pop: a producer that keeps it full then refills in bursts
+        // instead of sleeping and waking once per item.
+        wake_producers =
+            full_waiters_ > 0 && items_.size() <= max_pending_ / 2;
       }
-      busy_.store(false, std::memory_order_seq_cst);
-      const bool notify_drained = RingEmpty();
-      if (closed_.load(std::memory_order_relaxed) && RingEmpty()) {
-        const bool push_in_flight =
-            ring_push_pending_.load(std::memory_order_seq_cst);
-        lock.Release();
-        if (notify_drained) drained_.NotifyAll();
-        if (push_in_flight) {
-          // A ring push raced Close(): it read closed == false before the
-          // close landed but has not committed yet. Spin one iteration —
-          // either the item appears in the ring (and is drained) or the
-          // push aborts and the pending flag clears.
-          std::this_thread::yield();
-          continue;
-        }
-        return false;
-      }
-      if (notify_drained) {
-        // Notify with the mutex dropped (a waiter must not wake straight
-        // into our lock); the wait loop below re-checks under lock, so
-        // releasing it briefly is safe.
-        lock.Release();
-        drained_.NotifyAll();
-        lock.Reacquire();
-      }
-      consumer_idle_.store(true, std::memory_order_seq_cst);
-      while (!closed_.load(std::memory_order_relaxed) && items_.empty() &&
-             RingEmpty()) {
-        not_empty_.Wait(mu_);
-      }
-      consumer_idle_.store(false, std::memory_order_seq_cst);
     }
+    if (wake_drained) drained_.NotifyAll();
+    if (wake_producers) not_full_.NotifyAll();
+    return popped;
   }
 
-  /// Marks the most recently popped item as fully processed.
-  void Done() {
-    bool notify = false;
-    {
-      core::MutexLock lock(mu_);
-      busy_.store(false, std::memory_order_seq_cst);
-      notify = items_.empty() && RingEmpty();
-    }
-    if (notify) drained_.NotifyAll();
-  }
-
-  /// Blocks until every pushed item has been popped AND processed.
+  /// Blocks until every item pushed before this call has been popped AND
+  /// processed. Items pushed later are not waited for.
   void WaitDrained() {
     core::MutexLock lock(mu_);
-    while (!items_.empty() || !RingEmpty() ||
-           busy_.load(std::memory_order_seq_cst)) {
+    const uint64_t ticket = pushed_;
+    while (done_ < ticket) {
+      drain_at_ = std::min(drain_at_, ticket);
       drained_.Wait(mu_);
     }
   }
@@ -186,85 +130,34 @@ class ShardQueue {
   void Close() {
     {
       core::MutexLock lock(mu_);
-      closed_.store(true, std::memory_order_seq_cst);
-    }
-    // Wait out a ring push that read closed == false before the store
-    // above: once the flag clears, its commit is visible, so the wakeups
-    // below cannot let the consumer exit past a stranded item.
-    while (ring_push_pending_.load(std::memory_order_seq_cst)) {
-      std::this_thread::yield();
+      closed_ = true;
     }
     not_empty_.NotifyAll();
     not_full_.NotifyAll();
   }
 
  private:
-  static size_t RingCapacity(size_t max_pending) {
-    // Largest power of two <= max_pending for mask indexing (min 2), so
-    // ring + deque together stay under twice the configured bound.
-    size_t cap = 2;
-    while (cap * 2 <= max_pending) cap <<= 1;
-    return cap;
-  }
-
-  /// True when the calling thread owns the ring (registering itself when
-  /// the ring is unowned). Only the owning producer touches ring_tail_.
-  bool IsRingProducer() {
-    const std::thread::id me = std::this_thread::get_id();
-    std::thread::id owner = ring_producer_.load(std::memory_order_acquire);
-    if (owner == me) return true;
-    if (owner == std::thread::id{}) {
-      std::thread::id expected{};
-      if (ring_producer_.compare_exchange_strong(expected, me,
-                                                 std::memory_order_acq_rel)) {
-        return true;
-      }
-    }
-    return false;
-  }
-
-  bool PopRing(WorkItem& out) {
-    const size_t head = ring_head_.load(std::memory_order_relaxed);
-    if (ring_tail_.load(std::memory_order_seq_cst) == head) return false;
-    out = std::move(ring_[head & (ring_.size() - 1)]);
-    ring_head_.store(head + 1, std::memory_order_release);
-    return true;
-  }
-
-  bool RingEmpty() const {
-    return ring_tail_.load(std::memory_order_seq_cst) ==
-           ring_head_.load(std::memory_order_seq_cst);
-  }
-
-  /// After a lock-free ring push: if the consumer announced it may sleep,
-  /// synchronize through the mutex so the wakeup cannot slip between the
-  /// consumer's empty-check and its wait, then notify.
-  void WakeIdleConsumer() {
-    if (!consumer_idle_.load(std::memory_order_seq_cst)) return;
-    { core::MutexLock lock(mu_); }
-    not_empty_.NotifyOne();
-  }
+  static constexpr uint64_t kNoDrainWaiter =
+      std::numeric_limits<uint64_t>::max();
 
   const size_t max_pending_;
 
-  // SPSC ring fast path.
-  std::vector<WorkItem> ring_;
-  std::atomic<size_t> ring_head_{0};  // written by the consumer only
-  std::atomic<size_t> ring_tail_{0};  // written by the ring producer only
-  std::atomic<std::thread::id> ring_producer_{};
-  std::atomic<bool> consumer_idle_{false};
-  std::atomic<bool> ring_push_pending_{false};  // Close() handshake
-
-  // MPSC mutex path + shared control state. The atomics below are
-  // deliberately unguarded: closed_/busy_ are read on lock-free paths and
-  // their cross-path handshakes are documented inline above.
   core::Mutex mu_;
   core::CondVar not_full_;
   core::CondVar not_empty_;
   core::CondVar drained_;
   std::deque<WorkItem> items_ LDPM_GUARDED_BY(mu_);
-  std::atomic<bool> closed_{false};
-  std::atomic<bool> busy_{false};
+  bool closed_ LDPM_GUARDED_BY(mu_) = false;
+  /// Items ever pushed, and items the consumer has finished; WaitDrained
+  /// takes pushed_ as its ticket and waits for done_ to reach it.
+  uint64_t pushed_ LDPM_GUARDED_BY(mu_) = 0;
+  uint64_t done_ LDPM_GUARDED_BY(mu_) = 0;
+  /// Recorded waiters, so a notify is skipped when nobody waits: blocked
+  /// producers, the consumer, and the lowest ticket a drain waiter sleeps
+  /// on (Pop resets it when it wakes them, and each re-registers).
+  size_t full_waiters_ LDPM_GUARDED_BY(mu_) = 0;
+  bool consumer_waiting_ LDPM_GUARDED_BY(mu_) = false;
+  uint64_t drain_at_ LDPM_GUARDED_BY(mu_) = kNoDrainWaiter;
 };
 
 }  // namespace engine

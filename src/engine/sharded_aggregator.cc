@@ -14,6 +14,10 @@ namespace {
 /// guards against accidental huge values spawning thousands of threads.
 constexpr int kMaxShards = 1024;
 
+/// Per-shard queue bound; producers block when a shard falls this far
+/// behind (backpressure).
+constexpr size_t kMaxPendingBatches = 64;
+
 /// Series name for an engine metric, labeled with the collection id when
 /// the engine runs under one (plus an optional shard label).
 std::string MetricName(const char* base, const std::string& collection) {
@@ -51,17 +55,13 @@ StatusOr<std::unique_ptr<ShardedAggregator>> ShardedAggregator::Create(
         std::to_string(kMaxShards) + "], got " +
         std::to_string(options.num_shards));
   }
-  if (options.max_pending_batches < 1) {
-    return Status::InvalidArgument(
-        "ShardedAggregator: max_pending_batches must be >= 1");
-  }
   // Build every shard aggregator up front so a bad factory/config fails the
   // construction rather than the first ingest.
   std::unique_ptr<ShardedAggregator> engine(
       new ShardedAggregator(factory, options));
   Rng seeder(options.seed);
   for (int s = 0; s < options.num_shards; ++s) {
-    auto shard = std::make_unique<Shard>(options.max_pending_batches);
+    auto shard = std::make_unique<Shard>(kMaxPendingBatches);
     auto protocol = factory();
     if (!protocol.ok()) return protocol.status();
     {
@@ -137,6 +137,8 @@ ShardedAggregator::~ShardedAggregator() {
 void ShardedAggregator::WorkerLoop(Shard& shard) {
   WorkItem item;
   while (shard.queue.Pop(item)) {
+    // Let a control-plane reader parked at the gate take state_mu first.
+    { core::MutexLock pass(shard.gate_mu); }
     {
       core::MutexLock state_lock(shard.state_mu);
       const uint64_t reports_before = shard.protocol->reports_absorbed();
@@ -176,7 +178,8 @@ void ShardedAggregator::WorkerLoop(Shard& shard) {
             static_cast<uint64_t>(std::llround(bits_delta)));
       }
     }
-    shard.queue.Done();
+    // Drop the depth and the budget slot before the next Pop marks this
+    // item done, so a caller whose Flush() has returned sees neither.
     shard.queue_depth->Add(-1);
     // Release the group-wide slot no matter how absorption went; an error
     // must not leak budget and wedge sibling collections.
@@ -254,6 +257,7 @@ Status ShardedAggregator::IngestPopulation(const std::vector<uint64_t>& rows,
 Status ShardedAggregator::Flush() {
   for (auto& shard : shards_) shard->queue.WaitDrained();
   for (size_t s = 0; s < shards_.size(); ++s) {
+    core::MutexLock gate(shards_[s]->gate_mu);
     core::MutexLock state_lock(shards_[s]->state_mu);
     if (!shards_[s]->error.ok()) {
       return Status(shards_[s]->error.code(),
@@ -275,6 +279,7 @@ StatusOr<const MarginalProtocol*> ShardedAggregator::Merged() {
     auto merged = factory_();
     if (!merged.ok()) return merged.status();
     for (auto& shard : shards_) {
+      core::MutexLock gate(shard->gate_mu);
       core::MutexLock state_lock(shard->state_mu);
       LDPM_RETURN_IF_ERROR((*merged)->MergeFrom(*shard->protocol));
     }
@@ -294,6 +299,7 @@ StatusOr<uint64_t> ShardedAggregator::ReportsAbsorbed() {
   LDPM_RETURN_IF_ERROR(Flush());
   uint64_t total = 0;
   for (auto& shard : shards_) {
+    core::MutexLock gate(shard->gate_mu);
     core::MutexLock state_lock(shard->state_mu);
     total += shard->protocol->reports_absorbed();
   }
@@ -306,6 +312,7 @@ StatusOr<std::vector<AggregatorSnapshot>> ShardedAggregator::SnapshotShards() {
   snapshots.reserve(shards_.size());
   core::MutexLock cut_lock(state_cut_mu_);
   for (auto& shard : shards_) {
+    core::MutexLock gate(shard->gate_mu);
     core::MutexLock state_lock(shard->state_mu);
     snapshots.push_back(shard->protocol->Snapshot());
   }
@@ -328,11 +335,13 @@ Status ShardedAggregator::RestoreShards(
   {
     core::MutexLock cut_lock(state_cut_mu_);
     for (auto& shard : shards_) {
+      core::MutexLock gate(shard->gate_mu);
       core::MutexLock state_lock(shard->state_mu);
       shard->protocol->Reset();
     }
     for (size_t i = 0; i < staged.size(); ++i) {
       Shard& target = *shards_[i % shards_.size()];
+      core::MutexLock gate(target.gate_mu);
       core::MutexLock state_lock(target.state_mu);
       LDPM_RETURN_IF_ERROR(target.protocol->MergeFrom(*staged[i]));
     }
@@ -346,6 +355,7 @@ Status ShardedAggregator::Reset() {
   {
     core::MutexLock cut_lock(state_cut_mu_);
     for (auto& shard : shards_) {
+      core::MutexLock gate(shard->gate_mu);
       core::MutexLock state_lock(shard->state_mu);
       shard->protocol->Reset();
       shard->error = Status::OK();

@@ -28,7 +28,6 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -46,9 +45,6 @@ struct EngineOptions {
   /// Number of shards (and worker threads). 1 reproduces the single-
   /// aggregator deployment behind the same interface.
   int num_shards = 1;
-  /// Per-shard queue bound; producers block when a shard falls this far
-  /// behind (backpressure).
-  size_t max_pending_batches = 64;
   /// Base seed for the per-shard Rng streams (row ingest / fast path).
   uint64_t seed = 0x5EED;
   /// Optional engine-wide backpressure budget shared with other engines
@@ -102,11 +98,6 @@ class ShardedAggregator {
 
   /// Number of shards (== worker threads) this engine runs.
   int num_shards() const { return static_cast<int>(shards_.size()); }
-  /// Display name of the hosted protocol ("InpHT", ...).
-  std::string_view protocol_name() const {
-    core::MutexLock lock(shards_[0]->state_mu);
-    return shards_[0]->protocol->name();
-  }
   /// The configuration every shard protocol was created with (immutable
   /// after construction, so the returned reference outlives the lock).
   const ProtocolConfig& config() const {
@@ -136,8 +127,9 @@ class ShardedAggregator {
   Status IngestPopulation(const std::vector<uint64_t>& rows,
                           bool fast_path = true);
 
-  /// Barrier: blocks until every enqueued item has been absorbed, then
-  /// reports the first worker error, if any.
+  /// Barrier: blocks until every item enqueued before the call has been
+  /// absorbed (work enqueued meanwhile is not waited for), then reports
+  /// the first worker error, if any.
   Status Flush();
 
   // ---- Query -------------------------------------------------------------
@@ -178,6 +170,12 @@ class ShardedAggregator {
 
  private:
   struct Shard {
+    /// Taken by control-plane readers before state_mu, and passed through
+    /// by the worker before each item: the worker re-locks state_mu right
+    /// after releasing it, so without the gate an unfair mutex could keep
+    /// a reader waiting for as long as the queue stays busy. With it, a
+    /// reader waits for at most the item in progress.
+    core::Mutex gate_mu;
     /// Serializes the worker's state mutation against control-plane reads
     /// (merge, ReportsAbsorbed, snapshot); held per work item, so
     /// uncontended in steady state.

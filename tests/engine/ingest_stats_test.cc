@@ -5,6 +5,7 @@
 // Prometheus contract scrapers rely on).
 
 #include <algorithm>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -99,11 +100,15 @@ TEST(EngineCounters, EveryEnqueuePathCountsOneBatch) {
 
 // After Flush() the absorb counters are exact: they equal the shard
 // state (ReportsAbsorbed, the per-shard snapshots) and the paper's
-// Table 2 bit count, (d+1) bits per InpHT report.
+// Table 2 bit count, (d+1) bits per InpHT report. No flushed item is
+// still visible as pending: every shard's depth gauge reads 0 and the
+// shared budget holds no slot.
 TEST(EngineCounters, CountersMatchShardStateAfterFlush) {
   const ProtocolConfig config = MakeConfig(6, 2);
+  auto budget = std::make_shared<engine::IngestBudget>(8);
   EngineOptions options;
   options.num_shards = 3;
+  options.shared_budget = budget;
   auto eng = ShardedAggregator::Create(ProtocolKind::kInpHT, config, options);
   ASSERT_TRUE(eng.ok());
   auto encoder = CreateProtocol(ProtocolKind::kInpHT, config);
@@ -117,6 +122,13 @@ TEST(EngineCounters, CountersMatchShardStateAfterFlush) {
                     .ok());
   }
   ASSERT_TRUE((*eng)->Flush().ok());
+  for (int s = 0; s < options.num_shards; ++s) {
+    EXPECT_EQ((*eng)->metrics()->GaugeValue(obs::WithLabels(
+                  "ldpm_engine_queue_depth", {{"shard", std::to_string(s)}})),
+              0)
+        << "shard " << s;
+  }
+  EXPECT_EQ(budget->in_flight(), 0u);
   auto absorbed = (*eng)->ReportsAbsorbed();
   ASSERT_TRUE(absorbed.ok());
   EXPECT_EQ(*absorbed, 3000u);

