@@ -12,7 +12,8 @@
 //     (columnar overrides, validation hoisted, integer scratch);
 //   * wire      — AbsorbWireBatch() over the same wire batch frames
 //     (zero-copy: records parsed in place, no Report materialization; for
-//     InpRR the packed bitmaps are absorbed with carry-save word ops).
+//     InpRR the bitmaps are carry-save added into byte counters by the
+//     widest kernel the CPU supports, printed in the banner).
 //
 // The acceptance comparison for the batched pipeline is wire vs parse —
 // both start from identical wire bytes; parse is what a pre-PR collector
@@ -29,6 +30,10 @@
 // (keys like "InpRR.wire_rps", "InpRR.engine1_wire_rps") — the bench's
 // regression record (BENCH_ingest.json).
 //
+// The InpRR kernel section runs the same InpRR frames through every
+// bitmap kernel built in (protocols/inp_rr_kernels.h), skipping those this
+// CPU lacks, and checks each against the scalar reference.
+//
 // The encode path (rows shipped raw, shard workers run the client encoder)
 // is unchanged from PR 1 and measured in the last section.
 
@@ -43,6 +48,7 @@
 #include "bench_common.h"
 #include "engine/collector.h"
 #include "protocols/factory.h"
+#include "protocols/inp_rr_kernels.h"
 #include "protocols/wire.h"
 
 namespace {
@@ -71,6 +77,34 @@ std::string Speedup(double base_seconds, double seconds) {
   return buf;
 }
 
+/// Absorbs every record of the InpRR wire frames through one bitmap kernel
+/// the way AbsorbWireBatch does (groups of 15, folded every 17 groups and
+/// per frame) and returns the per-cell counts.
+std::vector<double> KernelCounts(const ldpm::inp_rr::Kernel& kernel, int d,
+                                 const std::vector<std::vector<uint8_t>>& frames) {
+  std::vector<double> counts(uint64_t{1} << d, 0.0);
+  std::vector<uint8_t> bytes(counts.size(), 0);
+  const uint8_t* group[ldpm::inp_rr::kMaxGroup];
+  for (const std::vector<uint8_t>& frame : frames) {
+    ldpm::WireBatchReader reader(frame.data(), frame.size());
+    const uint8_t* record = nullptr;
+    size_t record_size = 0;
+    size_t m = 0;
+    size_t groups = 0;
+    while (reader.Next(record, record_size)) {
+      group[m++] = record;
+      if (m < ldpm::inp_rr::kMaxGroup) continue;
+      ldpm::inp_rr::AddGroup(kernel, group, m, d, bytes.data());
+      m = 0;
+      if (++groups % 17 == 0) kernel.fold(bytes.data(), counts.data(), bytes.size());
+    }
+    LDPM_CHECK(reader.status().ok());
+    if (m > 0) ldpm::inp_rr::AddGroup(kernel, group, m, d, bytes.data());
+    kernel.fold(bytes.data(), counts.data(), bytes.size());
+  }
+  return counts;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -78,8 +112,10 @@ int main(int argc, char** argv) {
   ldpm::bench::Banner("micro_engine",
                       "batched/wire/sharded ingest vs per-report absorb",
                       args);
-  std::printf("hardware threads: %u\n\n",
+  std::printf("hardware threads: %u\n",
               std::thread::hardware_concurrency());
+  std::printf("InpRR wire kernel: %s\n\n",
+              std::string(ldpm::inp_rr::SelectKernel().name).c_str());
   ldpm::bench::JsonWriter json;
   json.Add("bench", std::string("micro_engine"));
   json.Add("d", 12.0);
@@ -97,6 +133,7 @@ int main(int argc, char** argv) {
       args.smoke ? 30'000 : (args.full ? 2'000'000 : 400'000);
   const size_t num_rows = args.smoke ? 20'000 : (args.full ? 1'000'000 : 200'000);
 
+  std::vector<std::vector<uint8_t>> inp_rr_frames;  // for the kernel section
   const std::vector<ProtocolKind> kinds = {
       ProtocolKind::kInpRR, ProtocolKind::kInpHT, ProtocolKind::kMargPS,
       ProtocolKind::kInpEM};
@@ -192,6 +229,8 @@ int main(int argc, char** argv) {
     json.Add(name + ".wire_rps",
              static_cast<double>(num_reports) / wire_seconds);
 
+    if (kind == ProtocolKind::kInpRR) inp_rr_frames = frames;
+
     // All four paths must agree exactly.
     LDPM_CHECK((*parse)->reports_absorbed() == num_reports);
     LDPM_CHECK((*batched)->reports_absorbed() == num_reports);
@@ -228,6 +267,34 @@ int main(int argc, char** argv) {
     json.Add(name + ".batch_speedup", perreport_seconds / batch_seconds);
     ldpm::bench::Row(cells);
   }
+
+  // Every InpRR bitmap kernel over the same frames; each must reproduce
+  // the scalar reference's counts exactly.
+  std::printf("\n== InpRR bitmap kernels (%zu reports, d=%d) ==\n",
+              dense_reports, d);
+  ldpm::bench::Row({"kernel", "rate", "vs scalar"});
+  const std::vector<double> reference =
+      KernelCounts(ldpm::inp_rr::ScalarKernel(), d, inp_rr_frames);
+  double scalar_seconds = 0.0;
+  for (auto it = ldpm::inp_rr::Kernels().rbegin();
+       it != ldpm::inp_rr::Kernels().rend(); ++it) {
+    const std::string kernel_name(it->name);
+    if (!it->supported()) {
+      ldpm::bench::Row({kernel_name, "not on this CPU", "-"});
+      continue;
+    }
+    const auto start = std::chrono::steady_clock::now();
+    const std::vector<double> counts = KernelCounts(*it, d, inp_rr_frames);
+    const double seconds = Seconds(start);
+    LDPM_CHECK(counts == reference);
+    if (scalar_seconds == 0.0) scalar_seconds = seconds;
+    ldpm::bench::Row({kernel_name,
+                      Rate(static_cast<double>(dense_reports), seconds),
+                      Speedup(scalar_seconds, seconds)});
+    json.Add("InpRR.kernel_" + kernel_name + "_rps",
+             static_cast<double>(dense_reports) / seconds);
+  }
+  json.Add("InpRR.wire_kernel", std::string(ldpm::inp_rr::SelectKernel().name));
 
   // Checkpoint/restore throughput: CheckpointTo is flush + per-shard
   // snapshot + serialize + CRC32C + atomic write-rename; RestoreFrom is

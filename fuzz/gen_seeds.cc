@@ -21,6 +21,7 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/random.h"
@@ -66,9 +67,9 @@ void PutU64(std::vector<uint8_t>& out, uint64_t v) {
   for (int b = 0; b < 8; ++b) out.push_back(static_cast<uint8_t>(v >> (8 * b)));
 }
 
-/// A small batch of real reports for (kind, d), as wire-batch bytes.
-std::vector<uint8_t> RealBatch(ldpm::ProtocolKind kind, int d,
-                               uint64_t seed) {
+/// A small batch of `count` real reports for (kind, d), as wire-batch bytes.
+std::vector<uint8_t> RealBatch(ldpm::ProtocolKind kind, int d, uint64_t seed,
+                               uint64_t count = 4) {
   ldpm::ProtocolConfig config;
   config.d = d;
   config.k = 2;
@@ -77,7 +78,7 @@ std::vector<uint8_t> RealBatch(ldpm::ProtocolKind kind, int d,
   if (!protocol.ok()) return {};
   ldpm::Rng rng(seed);
   std::vector<ldpm::Report> reports;
-  for (uint64_t cell = 0; cell < 4; ++cell) {
+  for (uint64_t cell = 0; cell < count; ++cell) {
     reports.push_back((*protocol)->Encode(cell % (uint64_t{1} << d), rng));
   }
   auto batch = ldpm::SerializeReportBatch(kind, config, reports);
@@ -124,6 +125,18 @@ void WireBatchSeeds() {
     seed.insert(seed.end(), batch.begin(), batch.end());
     Corpus("wire_batch",
            "batch_" + std::string(ldpm::ProtocolKindName(kind)), seed);
+  }
+  // InpRR at d = 9 (one whole 64-byte kernel chunk per record) and d = 12
+  // (eight), 16 records each so one full carry-save group of 15 and a
+  // partial one run through the vector bitmap kernels. d bytes 8 and 11
+  // land on 9 and 12.
+  for (const auto& [d, d_byte] : {std::pair{9, uint8_t{8}},
+                                  std::pair{12, uint8_t{11}}}) {
+    std::vector<uint8_t> seed = {0, d_byte};
+    const std::vector<uint8_t> batch =
+        RealBatch(ldpm::ProtocolKind::kInpRR, d, 40 + d, 16);
+    seed.insert(seed.end(), batch.begin(), batch.end());
+    Corpus("wire_batch", "batch_InpRR_d" + std::to_string(d), seed);
   }
   // Record length prefix 0xFFFFFFFF with two payload bytes behind it.
   Regression("wire_batch", "record_len_hostile",

@@ -1,23 +1,18 @@
 #include "protocols/inp_rr.h"
 
-#include <algorithm>
-#include <bit>
 #include <string>
 
 #include "core/marginal.h"
+#include "protocols/inp_rr_kernels.h"
 #include "protocols/wire.h"
 
 namespace ldpm {
 
 namespace {
 
-/// Reports per carry-save group: 4 bit planes count up to 15 ones per cell
-/// column before they must be expanded into the integer scratch.
-constexpr size_t kCsaGroupSize = 15;
-
-/// Fold the integer scratch into the doubles before any cell's pending
-/// count could overflow uint32 (each group adds at most kCsaGroupSize).
-constexpr uint64_t kMaxPendingPerCell = (uint64_t{1} << 31);
+/// Byte counters hold at most 255 per cell between folds: 17 carry-save
+/// groups of inp_rr::kMaxGroup (15) reports.
+constexpr uint64_t kGroupsPerFold = 255 / inp_rr::kMaxGroup;
 
 }  // namespace
 
@@ -31,7 +26,8 @@ StatusOr<std::unique_ptr<InpRrProtocol>> InpRrProtocol::Create(
   }
   auto unary = UnaryEncoding::Create(config.epsilon, config.unary_variant);
   if (!unary.ok()) return unary.status();
-  return std::unique_ptr<InpRrProtocol>(new InpRrProtocol(config, *unary));
+  return std::unique_ptr<InpRrProtocol>(
+      new InpRrProtocol(config, *unary, inp_rr::SelectKernel()));
 }
 
 Report InpRrProtocol::Encode(uint64_t user_value, Rng& rng) const {
@@ -55,102 +51,23 @@ Status InpRrProtocol::Absorb(const Report& report) {
   return Status::OK();
 }
 
-void InpRrProtocol::EnsureBatchScratch() {
-  const uint64_t domain = uint64_t{1} << config_.d;
-  const size_t words = (domain + 63) / 64;
-  if (batch_counts_.empty()) batch_counts_.assign(domain, 0);
-  if (planes_.empty()) planes_.assign(4 * words, 0);
-}
+std::string_view InpRrProtocol::absorb_kernel() const { return kernel_.name; }
 
-void InpRrProtocol::AbsorbPackedGroup(const uint8_t* const* payloads,
-                                      size_t m) {
-  const uint64_t domain = uint64_t{1} << config_.d;
-  const size_t payload_bytes = (domain + 7) / 8;
-  const size_t words = (domain + 63) / 64;
-  // Bits of the last word at or above `domain` are serialization padding;
-  // DeserializeReport ignores them, so the packed path masks them off.
-  const uint64_t tail_mask =
-      (domain % 64 == 0) ? ~uint64_t{0} : (uint64_t{1} << (domain % 64)) - 1;
-
-  const size_t full_words = payload_bytes / 8;
-  std::fill(planes_.begin(), planes_.end(), 0);
-  for (size_t r = 0; r < m; ++r) {
-    const uint8_t* payload = payloads[r];
-    uint64_t* plane = planes_.data();
-    for (size_t w = 0; w < words; ++w, plane += 4) {
-      // Bitmap word w, in the little-endian bit order of SerializeReport;
-      // full words take LoadWireWord's single-load fast path.
-      uint64_t x = w < full_words
-                       ? LoadWireWord(payload + w * 8, 8)
-                       : LoadWireWord(payload + w * 8, payload_bytes - w * 8);
-      if (w == words - 1) x &= tail_mask;
-      // Carry-save add of one bit into a 4-bit vertical counter per cell.
-      const uint64_t c1 = plane[0] & x;
-      plane[0] ^= x;
-      const uint64_t c2 = plane[1] & c1;
-      plane[1] ^= c1;
-      const uint64_t c3 = plane[2] & c2;
-      plane[2] ^= c2;
-      plane[3] ^= c3;
-    }
-  }
-  // Expand the vertical counters into the per-cell integer scratch.
-  for (size_t w = 0; w < words; ++w) {
-    for (int j = 0; j < 4; ++j) {
-      uint64_t v = planes_[4 * w + j];
-      const uint32_t weight = uint32_t{1} << j;
-      while (v != 0) {
-        batch_counts_[w * 64 + std::countr_zero(v)] += weight;
-        v &= v - 1;
-      }
-    }
-  }
-}
-
-void InpRrProtocol::FoldBatchCounts() {
-  for (size_t cell = 0; cell < batch_counts_.size(); ++cell) {
-    counts_[cell] += static_cast<double>(batch_counts_[cell]);
-    batch_counts_[cell] = 0;
-  }
-}
-
-Status InpRrProtocol::AbsorbBatch(const Report* reports, size_t count) {
-  const uint64_t domain = uint64_t{1} << config_.d;
-  EnsureBatchScratch();
-  Status error = Status::OK();
-  uint64_t since_fold = 0;
-  for (size_t i = 0; i < count; ++i) {
-    bool valid = true;
-    for (uint64_t pos : reports[i].ones) {
-      if (pos >= domain) {
-        error = Status::InvalidArgument("InpRR::Absorb: position outside domain");
-        valid = false;
-        break;
-      }
-    }
-    if (!valid) break;
-    for (uint64_t pos : reports[i].ones) ++batch_counts_[pos];
-    NoteAbsorbed(reports[i]);
-    if (++since_fold >= kMaxPendingPerCell) {
-      FoldBatchCounts();
-      since_fold = 0;
-    }
-  }
-  FoldBatchCounts();
-  return error;
+void InpRrProtocol::FoldByteCounts() {
+  kernel_.fold(byte_counts_.data(), counts_.data(), byte_counts_.size());
 }
 
 Status InpRrProtocol::AbsorbWireBatch(const uint8_t* data, size_t size) {
   const uint64_t domain = uint64_t{1} << config_.d;
   const size_t payload_bytes = (domain + 7) / 8;
-  EnsureBatchScratch();
+  byte_counts_.resize(domain);
   WireBatchReader reader(data, size);
-  const uint8_t* group[kCsaGroupSize];
+  const uint8_t* group[inp_rr::kMaxGroup];
   const uint8_t* record = nullptr;
   size_t record_size = 0;
   size_t m = 0;
   uint64_t absorbed = 0;
-  uint64_t since_fold = 0;
+  uint64_t groups_since_fold = 0;
   Status error = Status::OK();
   while (reader.Next(record, record_size)) {
     if (record_size != payload_bytes) {
@@ -160,23 +77,22 @@ Status InpRrProtocol::AbsorbWireBatch(const uint8_t* data, size_t size) {
       break;
     }
     group[m++] = record;
-    if (m == kCsaGroupSize) {
-      AbsorbPackedGroup(group, m);
+    if (m == inp_rr::kMaxGroup) {
+      inp_rr::AddGroup(kernel_, group, m, config_.d, byte_counts_.data());
       absorbed += m;
-      since_fold += m;
       m = 0;
-      if (since_fold >= kMaxPendingPerCell - kCsaGroupSize) {
-        FoldBatchCounts();
-        since_fold = 0;
+      if (++groups_since_fold == kGroupsPerFold) {
+        FoldByteCounts();
+        groups_since_fold = 0;
       }
     }
   }
   if (error.ok()) error = reader.status();
   if (m > 0) {
-    AbsorbPackedGroup(group, m);
+    inp_rr::AddGroup(kernel_, group, m, config_.d, byte_counts_.data());
     absorbed += m;
   }
-  FoldBatchCounts();
+  FoldByteCounts();
   NoteAbsorbedBatch(absorbed, static_cast<double>(domain));
   return error;
 }

@@ -120,7 +120,7 @@ uint64_t MarginalCache::LiveWatermark() const {
 
 StatusOr<std::shared_ptr<const Snapshot>> MarginalCache::Get() {
   requests_->Increment();
-  auto snap = snapshot_.load(std::memory_order_acquire);
+  auto snap = Current();
   if (snap != nullptr && snap->watermark() == LiveWatermark()) {
     hits_->Increment();
     return snap;
@@ -134,23 +134,23 @@ StatusOr<std::shared_ptr<const Snapshot>> MarginalCache::Get() {
     // Explicit TryLock/Unlock (no early returns in between) so the
     // analysis sees a single acquire/release pair on both branches.
     Status rebuilt = Status::OK();
-    auto current = snapshot_.load(std::memory_order_acquire);
+    auto current = Current();
     if (current == nullptr || current->watermark() != LiveWatermark()) {
       rebuilt = RebuildLocked();
     }
     refresh_mu_.Unlock();
     if (!rebuilt.ok()) return rebuilt;
-    return snapshot_.load(std::memory_order_acquire);
+    return Current();
   }
   core::MutexLock lock(refresh_mu_);
-  auto current = snapshot_.load(std::memory_order_acquire);
+  auto current = Current();
   if (current != nullptr && current->watermark() == LiveWatermark()) {
     // A concurrent reader rebuilt while we waited for the lock.
     hits_->Increment();
     return current;
   }
   LDPM_RETURN_IF_ERROR(RebuildLocked());
-  return snapshot_.load(std::memory_order_acquire);
+  return Current();
 }
 
 StatusOr<MarginalAnswer> MarginalCache::Marginal(uint64_t beta) {
@@ -177,8 +177,20 @@ Status MarginalCache::Refresh() {
   return RebuildLocked();
 }
 
-void MarginalCache::Invalidate() {
-  snapshot_.store(nullptr, std::memory_order_release);
+void MarginalCache::Invalidate() { Publish(nullptr); }
+
+std::shared_ptr<const Snapshot> MarginalCache::Current() const {
+  core::MutexLock lock(snapshot_mu_);
+  return snapshot_;
+}
+
+void MarginalCache::Publish(std::shared_ptr<const Snapshot> snap) {
+  {
+    core::MutexLock lock(snapshot_mu_);
+    snapshot_.swap(snap);
+  }
+  // `snap` now holds the previous snapshot; readers may still share it,
+  // and if not it is freed here, outside the lock.
 }
 
 Status MarginalCache::RebuildLocked() {
@@ -220,8 +232,7 @@ Status MarginalCache::RebuildLocked() {
   for (size_t i = 0; i < snap->selectors_.size(); ++i) {
     snap->index_.emplace(snap->selectors_[i], i);
   }
-  snapshot_.store(std::shared_ptr<const Snapshot>(std::move(snap)),
-                  std::memory_order_release);
+  Publish(std::move(snap));
   refreshes_->Increment();
   return Status::OK();
 }

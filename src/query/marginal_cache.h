@@ -1,5 +1,5 @@
 // The query-serving plane's cache: epoch-snapshotted, consistency-
-// post-processed marginal tables served lock-free.
+// post-processed marginal tables served from an immutable snapshot.
 //
 // The write path (net::IngestServer -> engine::Collector) absorbs
 // millions of reports; the read path a deployment needs is the opposite
@@ -15,9 +15,10 @@
 //     fit, Barak-style), and freezes the result into an immutable
 //     Snapshot. Every answer served from one snapshot agrees exactly
 //     with every other on all attribute overlaps, by construction.
-//   * Reads are lock-free: the current snapshot hangs off one
-//     std::atomic<std::shared_ptr>; a cache hit is an atomic load, a
-//     hash lookup, and a copy of 2^k doubles. No shard merge, no mutex.
+//   * Reads are cheap: the current snapshot hangs off one shared_ptr
+//     behind a leaf mutex held only to copy or swap the pointer; a cache
+//     hit is that copy, a hash lookup, and a copy of 2^k doubles. No
+//     shard merge, and no lock held while the table is read.
 //   * Epochs are keyed on an ingest *watermark* — the collection's
 //     `ldpm_engine_batches_enqueued_total` counter. A snapshot built at
 //     watermark W serves until the counter advances past W; the next
@@ -51,7 +52,6 @@
 #ifndef LDPM_QUERY_MARGINAL_CACHE_H_
 #define LDPM_QUERY_MARGINAL_CACHE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -149,7 +149,8 @@ struct MarginalAnswer {
 };
 
 /// The per-collection cache (see the file comment). Thread-safe; reads
-/// that hit the live snapshot are lock-free.
+/// that hit the live snapshot take only the leaf snapshot_mu_, for a
+/// shared_ptr copy.
 class MarginalCache {
  public:
   /// Builds a cache over one registered collection. Fails NotFound for
@@ -191,6 +192,14 @@ class MarginalCache {
   /// Cuts and publishes a fresh snapshot.
   Status RebuildLocked() LDPM_REQUIRES(refresh_mu_);
 
+  /// The published snapshot (null before the first rebuild or after
+  /// Invalidate), copied out under snapshot_mu_.
+  std::shared_ptr<const Snapshot> Current() const LDPM_EXCLUDES(snapshot_mu_);
+  /// Swaps `snap` in as the published snapshot; the old one is released
+  /// after snapshot_mu_ is.
+  void Publish(std::shared_ptr<const Snapshot> snap)
+      LDPM_EXCLUDES(snapshot_mu_);
+
   engine::Collector* const collector_;
   engine::CollectionHandle handle_;
   const std::string collection_;
@@ -199,8 +208,12 @@ class MarginalCache {
   std::string watermark_series_;
   std::vector<uint64_t> selectors_;
 
-  std::atomic<std::shared_ptr<const Snapshot>> snapshot_{nullptr};
   core::Mutex refresh_mu_;
+  // Leaf lock: guards only the pointer below, held for a copy or a swap.
+  // (A plain mutex rather than std::atomic<std::shared_ptr>, whose
+  // libstdc++ lock bit ThreadSanitizer does not model.)
+  mutable core::Mutex snapshot_mu_;
+  std::shared_ptr<const Snapshot> snapshot_ LDPM_GUARDED_BY(snapshot_mu_);
   uint64_t epoch_seq_ LDPM_GUARDED_BY(refresh_mu_) = 0;
 
   obs::Counter* requests_ = nullptr;

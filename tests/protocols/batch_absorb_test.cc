@@ -78,9 +78,10 @@ class BatchAbsorbTest : public ::testing::TestWithParam<ProtocolKind> {};
 // plus columnar wire paths must all match per-report Absorb exactly.
 TEST_P(BatchAbsorbTest, BatchedMatchesSequentialBitwise) {
   const ProtocolKind kind = GetParam();
-  // d = 7 exercises a multi-word InpRR bitmap with a partial tail word;
-  // d = 5 a sub-word bitmap with padding bits in the last byte.
-  for (int d : {5, 7}) {
+  // For InpRR: d = 5 is a sub-word bitmap with padding bits in the last
+  // byte, d = 7 a multi-word bitmap inside the scalar tail, d = 9 exactly
+  // one whole 64-byte kernel chunk and d = 12 eight of them.
+  for (int d : {5, 7, 9, 12}) {
     const ProtocolConfig config = MakeConfig(d, 2);
     auto sequential = CreateProtocol(kind, config);
     ASSERT_TRUE(sequential.ok());
