@@ -9,7 +9,7 @@
 //     pre-PR path for reports arriving as bytes, which materializes a
 //     Report (and for InpRR its heap-allocated `ones` vector) per record;
 //   * batch     — AbsorbBatch() over slices of the same Report stream
-//     (columnar overrides, validation hoisted, integer scratch);
+//     (the base-class loop over Absorb());
 //   * wire      — AbsorbWireBatch() over the same wire batch frames
 //     (zero-copy: records parsed in place, no Report materialization; for
 //     InpRR the bitmaps are carry-save added into byte counters by the
@@ -203,7 +203,7 @@ int main(int argc, char** argv) {
     json.Add(name + ".parse_rps",
              static_cast<double>(num_reports) / parse_seconds);
 
-    // Columnar batch path over the same in-memory reports.
+    // AbsorbBatch over the same in-memory reports.
     auto batched = CreateProtocol(kind, config);
     LDPM_CHECK(batched.ok());
     start = std::chrono::steady_clock::now();

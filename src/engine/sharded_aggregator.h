@@ -109,7 +109,7 @@ class ShardedAggregator {
 
   /// Enqueues a batch of pre-encoded reports onto the next shard
   /// (round-robin). Blocks when that shard's queue is full. The worker
-  /// absorbs the batch through the protocol's columnar AbsorbBatch path.
+  /// absorbs the batch through the protocol's AbsorbBatch.
   Status IngestBatch(std::vector<Report> reports);
 
   /// Enqueues a wire batch frame (protocols/wire.h: u32-length-prefixed

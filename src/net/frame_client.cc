@@ -74,13 +74,8 @@ StatusOr<FrameClient> FrameClient::Connect(const std::string& address,
   client.resume_ = options.resume;
   client.address_ = address;
   client.port_ = port;
-  if (client.resume_) {
-    client.session_token_ =
-        options.session_token != 0 ? options.session_token : RandomToken();
-  }
-  client.rng_state_ = options.retry.seed != 0
-                          ? options.retry.seed
-                          : (client.session_token_ | 1);
+  if (client.resume_) client.session_token_ = RandomToken();
+  client.rng_state_ = client.session_token_ | 1;
   const int attempts = std::max(1, options.retry.max_attempts);
   Status last;
   for (int attempt = 0; attempt < attempts; ++attempt) {
@@ -285,8 +280,7 @@ Status FrameClient::TransmitPending() {
 Status FrameClient::PumpOnce() {
   LDPM_RETURN_IF_ERROR(EnsureConnected());
   LDPM_RETURN_IF_ERROR(TransmitPending());
-  while (options_.max_unacked_bytes > 0 && !final_reply_ &&
-         next_offset_ - acked_offset_ > options_.max_unacked_bytes) {
+  while (!final_reply_ && next_offset_ - acked_offset_ > kMaxUnackedBytes) {
     LDPM_RETURN_IF_ERROR(WaitForReply(options_.recv_timeout));
   }
   if (final_reply_ && !final_reply_->status.ok()) return final_reply_->status;
@@ -459,13 +453,10 @@ void FrameClient::Abort() {
 std::chrono::milliseconds FrameClient::BackoffFor(int completed_attempts) {
   const RetryPolicy& retry = options_.retry;
   double ms = static_cast<double>(retry.initial_backoff.count());
-  for (int i = 1; i < completed_attempts; ++i) ms *= retry.multiplier;
+  for (int i = 1; i < completed_attempts; ++i) ms *= kBackoffMultiplier;
   ms = std::min(ms, static_cast<double>(retry.max_backoff.count()));
-  if (retry.jitter > 0) {
-    const double unit =
-        static_cast<double>(NextRand() % 1000) / 999.0;  // [0, 1]
-    ms *= 1.0 + retry.jitter * (2.0 * unit - 1.0);
-  }
+  const double unit = static_cast<double>(NextRand() % 1000) / 999.0;  // [0, 1]
+  ms *= 1.0 + kBackoffJitter * (2.0 * unit - 1.0);
   return std::chrono::milliseconds(
       ms > 0 ? static_cast<int64_t>(ms) : int64_t{0});
 }

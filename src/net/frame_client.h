@@ -44,20 +44,17 @@ namespace ldpm {
 namespace net {
 
 /// Reconnect/backoff schedule for resumable streams: attempt k (k >= 1)
-/// sleeps initial_backoff * multiplier^(k-1), capped at max_backoff, then
-/// scaled by a uniform factor in [1 - jitter, 1 + jitter] so a fleet of
-/// clients dropped by one server event does not reconnect in lockstep.
+/// sleeps initial_backoff * FrameClient::kBackoffMultiplier^(k-1), capped
+/// at max_backoff, then scaled by a uniform factor in
+/// [1 - FrameClient::kBackoffJitter, 1 + FrameClient::kBackoffJitter] so a
+/// fleet of clients dropped by one server event does not reconnect in
+/// lockstep. The jitter PRNG is seeded from the session token.
 struct RetryPolicy {
   /// Total attempts per operation (first try included); <= 1 disables
   /// retry.
   int max_attempts = 5;
   std::chrono::milliseconds initial_backoff{50};
   std::chrono::milliseconds max_backoff{2000};
-  double multiplier = 2.0;
-  /// Fractional jitter in [0, 1].
-  double jitter = 0.2;
-  /// Seed for the jitter PRNG; 0 derives one from the session token.
-  uint64_t seed = 0;
 };
 
 struct FrameClientOptions {
@@ -68,14 +65,10 @@ struct FrameClientOptions {
   /// Deadline for each wait on a server ack or final reply.
   std::chrono::milliseconds recv_timeout{30000};
   RetryPolicy retry;
-  /// True: v2 resumable session (buffer + replay). False: v1 one-shot with
-  /// the deadlines above but no retry beyond the initial connect.
+  /// True: v2 resumable session (buffer + replay) under a random session
+  /// token (session_token() reads it back). False: v1 one-shot with the
+  /// deadlines above but no retry beyond the initial connect.
   bool resume = true;
-  /// Session token; 0 picks a random one (session_token() reads it back).
-  uint64_t session_token = 0;
-  /// Pause sends once this many stream bytes are unacked, waiting for acks
-  /// (bounds the replay buffer). 0 = unbounded.
-  size_t max_unacked_bytes = 64u << 20;
 };
 
 // StreamReply — the server's close reply, decoded — lives in
@@ -85,6 +78,14 @@ struct FrameClientOptions {
 /// thread-safe — one streaming thread per client.
 class FrameClient {
  public:
+  /// Growth factor of the reconnect backoff per completed attempt.
+  static constexpr double kBackoffMultiplier = 2.0;
+  /// Fractional jitter applied to every reconnect backoff.
+  static constexpr double kBackoffJitter = 0.2;
+  /// A resumable stream pauses sends once this many stream bytes are
+  /// unacked, waiting for acks (the bound on the replay buffer).
+  static constexpr size_t kMaxUnackedBytes = size_t{64} << 20;
+
   FrameClient() = default;
   FrameClient(FrameClient&&) = default;
   FrameClient& operator=(FrameClient&&) = default;

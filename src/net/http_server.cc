@@ -7,6 +7,9 @@ namespace net {
 
 namespace {
 
+/// Kernel accept backlog (requests queue here while one is served).
+constexpr int kAcceptBacklog = 16;
+
 /// Extracts method and path+query from "METHOD SP TARGET SP VERSION...".
 /// Returns false on anything that does not parse as a request line.
 bool ParseRequestLine(std::string_view request, std::string_view& method,
@@ -95,7 +98,7 @@ StatusOr<std::unique_ptr<HttpServer>> HttpServer::Start(
     return Status::InvalidArgument("HttpServer: max_request_bytes must be > 0");
   }
   auto listener =
-      Socket::Listen(options.bind_address, options.port, options.accept_backlog);
+      Socket::Listen(options.bind_address, options.port, kAcceptBacklog);
   if (!listener.ok()) return listener.status();
   auto port = listener->local_port();
   if (!port.ok()) return port.status();

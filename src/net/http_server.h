@@ -52,8 +52,6 @@ struct HttpServerOptions {
   std::string bind_address = "127.0.0.1";
   /// TCP port; 0 picks an ephemeral port (read it back with port()).
   uint16_t port = 0;
-  /// Kernel accept backlog (requests queue here while one is served).
-  int accept_backlog = 16;
   /// Cap on request-head bytes read before answering; a client that
   /// streams an oversized head is answered 400 and closed.
   size_t max_request_bytes = 8 * 1024;
@@ -64,8 +62,9 @@ struct HttpServerOptions {
   std::chrono::milliseconds idle_timeout{0};
   /// Optional counter incremented once per answered request, any status
   /// (must outlive the server). The endpoint's only request count:
-  /// StatsServer wires ldpm_stats_requests_total here, QueryServer
-  /// ldpm_query_http_requests_total.
+  /// StatsServer::Start sets it to ldpm_stats_requests_total and
+  /// QueryServer::Start to ldpm_query_http_requests_total, replacing any
+  /// value the caller passed.
   obs::Counter* requests_counter = nullptr;
 };
 

@@ -12,6 +12,9 @@ namespace net {
 
 namespace {
 
+/// Kernel accept backlog of the listening socket.
+constexpr int kAcceptBacklog = 64;
+
 void AppendU64(uint64_t value, std::vector<uint8_t>& out) {
   for (int b = 0; b < 8; ++b) {
     out.push_back(static_cast<uint8_t>(value >> (8 * b)));
@@ -33,39 +36,37 @@ void WriteU64(uint64_t value, uint8_t* bytes) {
 IngestServer::IngestServer(engine::Collector* collector,
                            const IngestServerOptions& options)
     : collector_(collector), options_(options) {
-  metrics_ =
-      options_.metrics != nullptr ? options_.metrics : collector_->metrics();
+  obs::MetricsRegistry* metrics = collector_->metrics();
   connections_accepted_ =
-      metrics_->GetCounter("ldpm_net_connections_accepted_total",
+      metrics->GetCounter("ldpm_net_connections_accepted_total",
                            "TCP connections accepted and handed a reader");
-  connections_shed_ = metrics_->GetCounter(
+  connections_shed_ = metrics->GetCounter(
       "ldpm_net_connections_shed_total",
-      "Connections rejected at the cap or dropped by the budget shed "
-      "timeout");
+      "Connections rejected at accept by the max_connections cap");
   frames_routed_ =
-      metrics_->GetCounter("ldpm_net_frames_routed_total",
+      metrics->GetCounter("ldpm_net_frames_routed_total",
                            "Whole collection frames routed into the collector");
-  batches_enqueued_ = metrics_->GetCounter(
+  batches_enqueued_ = metrics->GetCounter(
       "ldpm_net_batches_enqueued_total",
       "Wire batches handed to engines (empty-payload frames route without "
       "enqueueing work)");
-  bytes_routed_ = metrics_->GetCounter(
+  bytes_routed_ = metrics->GetCounter(
       "ldpm_net_bytes_routed_total",
       "Bytes of routed frames (excluding preambles and partial tails)");
-  connections_active_ = metrics_->GetGauge(
+  connections_active_ = metrics->GetGauge(
       "ldpm_net_connections_active", "Connections currently being served");
-  route_latency_ = metrics_->GetHistogram(
+  route_latency_ = metrics->GetHistogram(
       "ldpm_net_frame_route_latency_ns", obs::LatencyBuckets(),
       "Per-frame latency of Collector::IngestFrames from a reader thread");
-  connections_reaped_ = metrics_->GetCounter(
+  connections_reaped_ = metrics->GetCounter(
       "ldpm_net_connections_reaped_total",
       "Idle connections reaped by the read deadline");
-  sessions_resumed_ = metrics_->GetCounter(
+  sessions_resumed_ = metrics->GetCounter(
       "ldpm_net_sessions_resumed_total",
       "v2 resume sessions re-attached by a reconnecting client");
-  acks_sent_ = metrics_->GetCounter("ldpm_net_acks_sent_total",
+  acks_sent_ = metrics->GetCounter("ldpm_net_acks_sent_total",
                                     "Ack records written to v2 clients");
-  drain_duration_ = metrics_->GetHistogram(
+  drain_duration_ = metrics->GetHistogram(
       "ldpm_net_drain_duration_ns", obs::LatencyBuckets(),
       "Graceful-stop duration: accept join, reader drain, collector drain");
   LDPM_CHECK(connections_accepted_ && connections_shed_ && frames_routed_ &&
@@ -84,7 +85,7 @@ StatusOr<std::unique_ptr<IngestServer>> IngestServer::Start(
         "IngestServer: read_chunk_bytes and max_frame_bytes must be > 0");
   }
   auto listener =
-      Socket::Listen(options.bind_address, options.port, options.accept_backlog);
+      Socket::Listen(options.bind_address, options.port, kAcceptBacklog);
   if (!listener.ok()) return listener.status();
   auto port = listener->local_port();
   if (!port.ok()) return port.status();
@@ -142,9 +143,7 @@ Status IngestServer::Stop() {
   }
   to_drain.clear();
   listener_.Close();
-  stop_status_ = options_.drain_collector_on_stop && started_
-                     ? collector_->Drain()
-                     : Status::OK();
+  stop_status_ = started_ ? collector_->Drain() : Status::OK();
   stopped_ = true;
   return stop_status_;
 }
@@ -288,20 +287,10 @@ Status IngestServer::GateOnBudget() {
     budget->Release();
     return Status::OK();
   }
-  const bool shed_enabled = options_.budget_shed_after.count() > 0;
-  const auto shed_deadline =
-      std::chrono::steady_clock::now() + options_.budget_shed_after;
   while (!stopping()) {
-    if (budget->AcquireFor(options_.budget_poll)) {
+    if (budget->AcquireFor(kBudgetPoll)) {
       budget->Release();
       return Status::OK();
-    }
-    if (shed_enabled && std::chrono::steady_clock::now() >= shed_deadline) {
-      connections_shed_->Increment();
-      return Status::ResourceExhausted(
-          "IngestServer: no ingest-budget headroom for " +
-          std::to_string(options_.budget_shed_after.count()) +
-          "ms; shedding connection");
     }
   }
   return Status::FailedPrecondition("IngestServer: server is stopping");
@@ -315,8 +304,7 @@ Status IngestServer::AcquireSession(uint64_t token, Socket& socket,
   for (;;) {
     auto it = sessions_.find(token);
     if (it == sessions_.end()) {
-      if (options_.max_sessions > 0 &&
-          sessions_.size() >= options_.max_sessions) {
+      if (sessions_.size() >= kMaxSessions) {
         auto victim = sessions_.end();
         for (auto s = sessions_.begin(); s != sessions_.end(); ++s) {
           if (!s->second.active &&
@@ -328,7 +316,7 @@ Status IngestServer::AcquireSession(uint64_t token, Socket& socket,
         if (victim == sessions_.end()) {
           return Status::ResourceExhausted(
               "IngestServer: session table full (" +
-              std::to_string(options_.max_sessions) +
+              std::to_string(kMaxSessions) +
               " sessions, all active)");
         }
         sessions_.erase(victim);
@@ -456,7 +444,7 @@ IngestServer::StreamOutcome IngestServer::ServeStream(Socket& socket) {
   hello[0] = kReplyHello;
   WriteU64(context.start_offset, hello + 1);
   Status hello_write =
-      socket.WriteAll(hello, sizeof(hello), options_.reply_write_timeout);
+      socket.WriteAll(hello, sizeof(hello), options_.idle_timeout);
   if (!hello_write.ok()) {
     ReleaseSession(token);
     outcome.status = Status::Unavailable("writing hello record: " +
@@ -576,7 +564,7 @@ IngestServer::StreamOutcome IngestServer::ServeStreamBody(
       // client holds; a failed write ends the connection right below.
       acks_sent_->Increment();
       Status ack_write =
-          socket.WriteAll(ack, sizeof(ack), options_.reply_write_timeout);
+          socket.WriteAll(ack, sizeof(ack), options_.idle_timeout);
       if (!ack_write.ok()) {
         outcome.status =
             Status::Unavailable("writing ack record: " + ack_write.message());
@@ -641,7 +629,7 @@ void IngestServer::SendReply(Socket& socket, const StreamOutcome& outcome,
   } else {
     // Error replies are rare (one per failed connection), so the
     // per-code counter lookup takes the registry path instead of a cache.
-    obs::Counter* errors = metrics_->GetCounter(
+    obs::Counter* errors = collector_->metrics()->GetCounter(
         obs::WithLabels("ldpm_net_error_replies_total",
                         {{"code", StatusCodeToString(outcome.status.code())}}),
         "Error replies sent to clients, by status code");

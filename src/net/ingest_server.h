@@ -18,10 +18,9 @@
 //     saturated the reader stops consuming the socket and the kernel's
 //     TCP flow control pushes back on the client. With a shared
 //     IngestBudget configured, readers additionally gate on budget
-//     headroom with stop-aware timed probes (IngestBudget::AcquireFor) —
-//     a saturated collector never wedges server shutdown, and an optional
-//     shed timeout turns sustained overload into a clean connection
-//     rejection instead of an unbounded stall.
+//     headroom with stop-aware timed probes (IngestBudget::AcquireFor)
+//     every kBudgetPoll — a saturated collector stalls its readers (and,
+//     through TCP, its clients) but never wedges server shutdown.
 //   * Byte-precise failure. A mid-stream violation (unknown collection
 //     id, malformed frame, oversized frame) stops the connection with an
 //     error reply naming the exact stream offset of the first unconsumed
@@ -34,7 +33,8 @@
 //     delivery through connection churn (see net/protocol.h).
 //   * Idle reaping. With idle_timeout set, a connection that delivers no
 //     bytes within the deadline is reaped with an error reply instead of
-//     holding a connection-cap slot forever (half-open clients).
+//     holding a connection-cap slot forever (half-open clients); the same
+//     deadline bounds the server's hello and ack writes.
 //   * Graceful stop. Stop() stops accepting, wakes and joins every
 //     reader at a frame boundary, then runs Collector::Drain() — so a
 //     server shutdown flushes every queued batch and (when configured)
@@ -71,8 +71,6 @@ struct IngestServerOptions {
   std::string bind_address = "127.0.0.1";
   /// TCP port; 0 picks an ephemeral port (read it back with port()).
   uint16_t port = 0;
-  /// Kernel accept backlog.
-  int accept_backlog = 64;
   /// Live connection cap; connections beyond it are shed at accept with
   /// an error reply. 0 = unbounded.
   int max_connections = 64;
@@ -81,42 +79,27 @@ struct IngestServerOptions {
   size_t max_frame_bytes = 64 * 1024 * 1024;
   /// Socket read size per recv call.
   size_t read_chunk_bytes = 64 * 1024;
-  /// Slice of the stop-aware budget wait: while the collector's shared
-  /// IngestBudget has no headroom, readers re-probe at this period and
-  /// re-check the server's stop flag in between.
-  std::chrono::milliseconds budget_poll{20};
-  /// When > 0: a reader that has seen no budget headroom for this long
-  /// sheds its connection with an overload error instead of waiting
-  /// longer. 0 = wait as long as it takes (still stop-aware).
-  std::chrono::milliseconds budget_shed_after{0};
-  /// When > 0: a connection that delivers no bytes for this long is
-  /// reaped — its reader sends a DeadlineExceeded error reply and closes,
-  /// so half-open or stalled clients cannot hold connection-cap slots
-  /// forever. Applies to the preamble/handshake reads too. 0 = wait
-  /// indefinitely (the original behavior).
+  /// When > 0: the connection's deadline in both directions. A connection
+  /// that delivers no bytes for this long is reaped — its reader sends a
+  /// DeadlineExceeded error reply and closes, so half-open or stalled
+  /// clients cannot hold connection-cap slots forever (applies to the
+  /// preamble/handshake reads too) — and a hello or ack write that cannot
+  /// complete within it ends the connection. 0 = wait indefinitely.
   std::chrono::milliseconds idle_timeout{0};
-  /// When > 0: deadline on server-to-client record writes (hello, ack,
-  /// final reply) so a peer that stopped reading cannot wedge a reader.
-  /// 0 = blocking writes.
-  std::chrono::milliseconds reply_write_timeout{0};
-  /// Cap on remembered v2 resume sessions; creating one past the cap
-  /// evicts the least-recently-used inactive session (a client resuming an
-  /// evicted session restarts at offset 0 and fails its replay loudly).
-  /// 0 = unbounded.
-  size_t max_sessions = 1024;
-  /// Run Collector::Drain() at the end of Stop() — the graceful-shutdown
-  /// step that flushes all collections and writes the shutdown
-  /// checkpoint when the collector is configured for one.
-  bool drain_collector_on_stop = true;
-  /// Registry the server publishes its ldpm_net_* metrics into (must
-  /// outlive the server). Null uses the collector's registry — the common
-  /// wiring, putting the whole pipeline behind one /stats endpoint.
-  obs::MetricsRegistry* metrics = nullptr;
 };
 
 /// The listening front-end (see the file comment).
 class IngestServer {
  public:
+  /// Slice of the stop-aware budget wait: while the collector's shared
+  /// IngestBudget has no headroom, readers re-probe at this period and
+  /// re-check the server's stop flag in between.
+  static constexpr std::chrono::milliseconds kBudgetPoll{20};
+  /// Cap on remembered v2 resume sessions; creating one past the cap
+  /// evicts the least-recently-used inactive session (a client resuming
+  /// an evicted session restarts at offset 0 and fails its replay loudly).
+  static constexpr size_t kMaxSessions = 1024;
+
   /// Binds, listens, and starts the accept thread. The collector must
   /// outlive the returned server.
   static StatusOr<std::unique_ptr<IngestServer>> Start(
@@ -133,8 +116,8 @@ class IngestServer {
   uint16_t port() const { return port_; }
 
   /// Graceful stop: stop accepting, wake and join every connection
-  /// reader, then (by default) Drain() the collector. Idempotent; every
-  /// call returns the first stop's drain Status. Safe to call while
+  /// reader, then Drain() the collector. Idempotent; every call returns
+  /// the first stop's drain Status. Safe to call while
   /// clients are mid-stream: their connections end with a server-stopping
   /// error reply (best effort — a client still blasting may observe the
   /// closing reset before reading it) and everything already routed
@@ -203,7 +186,7 @@ class IngestServer {
                              uint64_t frames_delta)
       LDPM_EXCLUDES(sessions_mu_);
   /// Waits (stop-aware) until the collector's shared budget shows
-  /// headroom; non-OK on stop or shed timeout.
+  /// headroom; FailedPrecondition once the server is stopping.
   Status GateOnBudget();
   void SendReply(Socket& socket, const StreamOutcome& outcome,
                  uint64_t frames, uint64_t bytes);
@@ -234,10 +217,9 @@ class IngestServer {
   bool stopped_ LDPM_GUARDED_BY(stop_mu_) = false;
   Status stop_status_ LDPM_GUARDED_BY(stop_mu_);
 
-  /// Server metrics, owned by metrics_ (options_.metrics or the
-  /// collector's registry). They are the server's only counts: tests and
-  /// tools read them back through the registry, as /stats does.
-  obs::MetricsRegistry* metrics_ = nullptr;
+  /// Server metrics, owned by the collector's registry. They are the
+  /// server's only counts: tests and tools read them back through the
+  /// registry, as /stats does.
   obs::Counter* connections_accepted_ = nullptr;
   obs::Counter* connections_shed_ = nullptr;
   obs::Counter* frames_routed_ = nullptr;

@@ -21,6 +21,8 @@ std::string JsonDouble(double value) {
   return buffer;
 }
 
+/// A JSON string literal (RFC 8259 §7): quote, backslash and every
+/// control byte below 0x20 are escaped; other bytes pass through.
 std::string JsonString(const std::string& value) {
   std::string out = "\"";
   for (char c : value) {
@@ -28,7 +30,16 @@ std::string JsonString(const std::string& value) {
       case '"': out += "\\\""; break;
       case '\\': out += "\\\\"; break;
       case '\n': out += "\\n"; break;
-      default: out += c;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char escape[8];
+          std::snprintf(escape, sizeof(escape), "\\u%04x",
+                        static_cast<unsigned>(static_cast<unsigned char>(c)));
+          out += escape;
+        } else {
+          out += c;
+        }
     }
   }
   out += "\"";
@@ -95,22 +106,13 @@ bool ParseAttrs(const std::string& raw, int d, std::vector<int>& attrs,
 
 }  // namespace
 
-QueryServer::QueryServer(engine::Collector* collector,
-                         const QueryServerOptions& options)
-    : collector_(collector), options_(options) {}
-
 StatusOr<std::unique_ptr<QueryServer>> QueryServer::Start(
-    engine::Collector* collector, const QueryServerOptions& options) {
+    engine::Collector* collector, const HttpServerOptions& options) {
   if (collector == nullptr) {
     return Status::InvalidArgument("QueryServer: collector must not be null");
   }
-  std::unique_ptr<QueryServer> server(new QueryServer(collector, options));
-  HttpServerOptions http_options;
-  http_options.bind_address = options.bind_address;
-  http_options.port = options.port;
-  http_options.accept_backlog = options.accept_backlog;
-  http_options.max_request_bytes = options.max_request_bytes;
-  http_options.idle_timeout = options.idle_timeout;
+  std::unique_ptr<QueryServer> server(new QueryServer(collector));
+  HttpServerOptions http_options = options;
   http_options.requests_counter = collector->metrics()->GetCounter(
       "ldpm_query_http_requests_total",
       "Requests the query endpoint answered (any status)");
@@ -134,8 +136,7 @@ StatusOr<query::MarginalCache*> QueryServer::CacheFor(
   // Built outside the lock: Create validates the collection against the
   // collector and precomputes the full selector set, and one slow
   // first-touch must not block queries against every other collection.
-  auto cache = query::MarginalCache::Create(collector_, collection,
-                                            options_.cache);
+  auto cache = query::MarginalCache::Create(collector_, collection);
   if (!cache.ok()) return cache.status();
   core::MutexLock lock(caches_mu_);
   // Two first-touch requests can race the build; emplace keeps the winner

@@ -34,7 +34,6 @@
 #ifndef LDPM_NET_QUERY_SERVER_H_
 #define LDPM_NET_QUERY_SERVER_H_
 
-#include <chrono>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -49,28 +48,16 @@
 namespace ldpm {
 namespace net {
 
-struct QueryServerOptions {
-  /// Numeric IPv4 address to bind.
-  std::string bind_address = "127.0.0.1";
-  /// TCP port; 0 picks an ephemeral port (read it back with port()).
-  uint16_t port = 0;
-  /// Kernel accept backlog.
-  int accept_backlog = 16;
-  /// Cap on request bytes read before answering 400.
-  size_t max_request_bytes = 8 * 1024;
-  /// Idle deadline while reading a request (408 on expiry); <= 0 off.
-  std::chrono::milliseconds idle_timeout{0};
-  /// Cache tuning applied to every collection's MarginalCache.
-  query::MarginalCacheOptions cache;
-};
-
 /// The query endpoint (see the file comment). Start() binds and serves
 /// until Stop()/destruction.
 class QueryServer {
  public:
+  /// Binds, listens, and starts the serving thread. The collector must
+  /// outlive the returned server; options.requests_counter is replaced by
+  /// the collector registry's ldpm_query_http_requests_total. Every
+  /// collection's cache uses the default MarginalCacheOptions.
   static StatusOr<std::unique_ptr<QueryServer>> Start(
-      engine::Collector* collector,
-      const QueryServerOptions& options = QueryServerOptions());
+      engine::Collector* collector, const HttpServerOptions& options = {});
 
   ~QueryServer() = default;
 
@@ -89,7 +76,7 @@ class QueryServer {
   StatusOr<query::MarginalCache*> CacheFor(const std::string& collection);
 
  private:
-  QueryServer(engine::Collector* collector, const QueryServerOptions& options);
+  explicit QueryServer(engine::Collector* collector) : collector_(collector) {}
 
   HttpResponse Handle(const HttpRequest& request);
   HttpResponse HandleMarginal(const HttpRequest& request);
@@ -97,7 +84,6 @@ class QueryServer {
   HttpResponse HandleCollections();
 
   engine::Collector* const collector_;
-  const QueryServerOptions options_;
 
   core::Mutex caches_mu_;
   std::map<std::string, std::unique_ptr<query::MarginalCache>> caches_

@@ -6,20 +6,11 @@ namespace ldpm {
 namespace net {
 
 StatusOr<std::unique_ptr<StatsServer>> StatsServer::Start(
-    obs::MetricsRegistry* registry, const StatsServerOptions& options) {
+    obs::MetricsRegistry* registry, const HttpServerOptions& options) {
   if (registry == nullptr) {
     return Status::InvalidArgument("StatsServer: registry must not be null");
   }
-  if (options.max_request_bytes == 0) {
-    return Status::InvalidArgument(
-        "StatsServer: max_request_bytes must be > 0");
-  }
-  HttpServerOptions http_options;
-  http_options.bind_address = options.bind_address;
-  http_options.port = options.port;
-  http_options.accept_backlog = options.accept_backlog;
-  http_options.max_request_bytes = options.max_request_bytes;
-  http_options.idle_timeout = options.idle_timeout;
+  HttpServerOptions http_options = options;
   http_options.requests_counter = registry->GetCounter(
       "ldpm_stats_requests_total", "Requests the /stats endpoint answered");
   auto http = HttpServer::Start(

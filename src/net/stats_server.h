@@ -20,10 +20,8 @@
 #ifndef LDPM_NET_STATS_SERVER_H_
 #define LDPM_NET_STATS_SERVER_H_
 
-#include <chrono>
 #include <cstdint>
 #include <memory>
-#include <string>
 
 #include "core/status.h"
 #include "net/http_server.h"
@@ -32,32 +30,15 @@
 namespace ldpm {
 namespace net {
 
-struct StatsServerOptions {
-  /// Numeric IPv4 address to bind.
-  std::string bind_address = "127.0.0.1";
-  /// TCP port; 0 picks an ephemeral port (read it back with port()).
-  uint16_t port = 0;
-  /// Kernel accept backlog (scrapers queue here while a request is
-  /// served; each request is a single exposition render).
-  int accept_backlog = 16;
-  /// Cap on request bytes read before answering; a client that streams
-  /// an oversized request is answered 400 and closed.
-  size_t max_request_bytes = 8 * 1024;
-  /// Idle deadline while reading a request: a scraper silent longer than
-  /// this mid-request is answered 408 and closed instead of pinning the
-  /// serve thread (slowloris defense). <= 0 disables.
-  std::chrono::milliseconds idle_timeout{0};
-};
-
 /// The admin endpoint (see the file comment). Start() binds and serves
 /// until Stop()/destruction.
 class StatsServer {
  public:
   /// Binds, listens, and starts the serving thread. The registry must
-  /// outlive the returned server.
+  /// outlive the returned server; options.requests_counter is replaced by
+  /// the registry's ldpm_stats_requests_total.
   static StatusOr<std::unique_ptr<StatsServer>> Start(
-      obs::MetricsRegistry* registry,
-      const StatsServerOptions& options = StatsServerOptions());
+      obs::MetricsRegistry* registry, const HttpServerOptions& options = {});
 
   ~StatsServer() = default;
 

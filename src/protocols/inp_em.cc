@@ -55,14 +55,6 @@ void InpEmProtocol::ReserveLog(size_t additional) {
   reports_.reserve(std::max(needed, reports_.capacity() * 2));
 }
 
-Status InpEmProtocol::AbsorbBatch(const Report* reports, size_t count) {
-  ReserveLog(count);
-  for (size_t i = 0; i < count; ++i) {
-    LDPM_RETURN_IF_ERROR(InpEmProtocol::Absorb(reports[i]));
-  }
-  return Status::OK();
-}
-
 Status InpEmProtocol::AbsorbWireBatch(const uint8_t* data, size_t size) {
   const int d = config_.d;
   const size_t payload_bytes = (static_cast<size_t>(d) + 7) / 8;

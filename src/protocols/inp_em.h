@@ -55,10 +55,6 @@ class InpEmProtocol final : public MarginalProtocol {
   Report Encode(uint64_t user_value, Rng& rng) const override;
   Status Absorb(const Report& report) override;
 
-  /// Batch ingest: reserves the report log once and appends without
-  /// virtual dispatch.
-  Status AbsorbBatch(const Report* reports, size_t count) override;
-
   /// Zero-copy wire ingest: each record is the packed d-bit response,
   /// appended to the report log without materializing Report objects.
   Status AbsorbWireBatch(const uint8_t* data, size_t size) override;

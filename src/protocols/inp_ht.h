@@ -35,9 +35,6 @@ class InpHtProtocol final : public MarginalProtocol {
   Report Encode(uint64_t user_value, Rng& rng) const override;
   Status Absorb(const Report& report) override;
 
-  /// Batch ingest with the virtual dispatch hoisted out of the loop.
-  Status AbsorbBatch(const Report* reports, size_t count) override;
-
   /// Zero-copy wire ingest: parses the (alpha, sign) layout — d + 1 bits —
   /// straight out of each record with one word load, no Report objects.
   Status AbsorbWireBatch(const uint8_t* data, size_t size) override;

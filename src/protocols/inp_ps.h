@@ -33,9 +33,6 @@ class InpPsProtocol final : public MarginalProtocol {
   Report Encode(uint64_t user_value, Rng& rng) const override;
   Status Absorb(const Report& report) override;
 
-  /// Batch ingest with the virtual dispatch hoisted out of the loop.
-  Status AbsorbBatch(const Report* reports, size_t count) override;
-
   /// Zero-copy wire ingest: each record is the d-bit reported index; a
   /// d-bit field cannot leave the domain, so validation vanishes entirely.
   Status AbsorbWireBatch(const uint8_t* data, size_t size) override;

@@ -28,9 +28,6 @@ class MargPsProtocol final : public MargProtocolBase {
   Report Encode(uint64_t user_value, Rng& rng) const override;
   Status Absorb(const Report& report) override;
 
-  /// Batch ingest with the virtual dispatch hoisted out of the loop.
-  Status AbsorbBatch(const Report* reports, size_t count) override;
-
   /// Zero-copy wire ingest: parses the (beta, cell) layout — d + k bits —
   /// with one word load per record when it fits 64 bits.
   Status AbsorbWireBatch(const uint8_t* data, size_t size) override;

@@ -50,13 +50,6 @@ Status MargRrProtocol::Absorb(const Report& report) {
   return Status::OK();
 }
 
-Status MargRrProtocol::AbsorbBatch(const Report* reports, size_t count) {
-  for (size_t i = 0; i < count; ++i) {
-    LDPM_RETURN_IF_ERROR(MargRrProtocol::Absorb(reports[i]));
-  }
-  return Status::OK();
-}
-
 Status MargRrProtocol::AbsorbWireBatch(const uint8_t* data, size_t size) {
   const int d = config_.d;
   const uint64_t cells = uint64_t{1} << config_.k;

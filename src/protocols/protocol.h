@@ -148,13 +148,11 @@ class MarginalProtocol {
   /// protocol's domain) are rejected with a Status and leave state intact.
   virtual Status Absorb(const Report& report) = 0;
 
-  /// Accumulates `count` reports. State-identical to absorbing them in
-  /// order: on a malformed report the reports before it stay absorbed and
-  /// its error is returned (the rest of the batch is not absorbed). The hot
-  /// protocols override this with columnar fast paths — validation hoisted
-  /// out of the loop, integer accumulators folded into the double sums once
-  /// per batch — that stay bitwise-identical to the per-report path.
-  virtual Status AbsorbBatch(const Report* reports, size_t count);
+  /// Accumulates `count` reports by calling Absorb on each in order: on a
+  /// malformed report the reports before it stay absorbed and its error is
+  /// returned (the rest of the batch is not absorbed). The batched fast
+  /// paths are the AbsorbWireBatch overrides.
+  Status AbsorbBatch(const Report* reports, size_t count);
 
   /// Wire-level batched ingest: absorbs every record of a wire batch frame
   /// (see protocols/wire.h: records are u32-length-prefixed SerializeReport

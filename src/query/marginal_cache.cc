@@ -40,7 +40,7 @@ StatusOr<const TreeModel*> Snapshot::Model() const {
       }
       return *table;
     };
-    auto model = TreeModel::LearnAndFit(d_, provider, model_smoothing_);
+    auto model = TreeModel::LearnAndFit(d_, provider, kModelSmoothing);
     if (!model.ok()) {
       model_status_ = model.status();
       return;
@@ -225,7 +225,6 @@ Status MarginalCache::RebuildLocked() {
   snap->max_order_ = options_.max_order;
   snap->kind_ = handle_.kind();
   snap->collection_ = collection_;
-  snap->model_smoothing_ = options_.model_smoothing;
   snap->selectors_ = selectors_;
   snap->marginals_ = *std::move(consistent);
   snap->index_.reserve(snap->selectors_.size());

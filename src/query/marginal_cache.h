@@ -80,9 +80,6 @@ struct MarginalCacheOptions {
   /// rebuild. The default blocks: every answer reflects the live
   /// watermark at the time it was served.
   bool serve_stale = false;
-  /// Conditional-probability floor for the lazily fitted Chow-Liu tree
-  /// model (Snapshot::Model).
-  double model_smoothing = 1e-6;
 };
 
 /// One immutable epoch of served state. Shared out to readers by
@@ -90,6 +87,10 @@ struct MarginalCacheOptions {
 /// fitted model is memoized under std::call_once).
 class Snapshot {
  public:
+  /// Conditional-probability floor for the lazily fitted Chow-Liu tree
+  /// model (Model()).
+  static constexpr double kModelSmoothing = 1e-6;
+
   /// Ingest watermark (batches-enqueued counter) captured before the
   /// rebuild's queries ran: a lower bound on the state served.
   uint64_t watermark() const { return watermark_; }
@@ -127,7 +128,6 @@ class Snapshot {
   int max_order_ = 0;
   ProtocolKind kind_ = ProtocolKind::kInpRR;
   std::string collection_;
-  double model_smoothing_ = 1e-6;
   std::vector<uint64_t> selectors_;
   std::vector<MarginalTable> marginals_;
   std::unordered_map<uint64_t, size_t> index_;  // beta -> marginals_ slot

@@ -529,6 +529,72 @@ TEST(IngestServer, StopWhileClientsStreamIsGracefulAndLosesNoRoutedFrame) {
   EXPECT_GT(frames_routed, 0u);
 }
 
+TEST(IngestServer, StopEndsAReaderWaitingOnASaturatedBudget) {
+  // Every shared-budget slot is held outside the server, so the reader
+  // that has the frame parks in its stop-aware wait (re-probing every
+  // kBudgetPoll). Stop() must still return promptly, and the client gets
+  // the server-stopping verdict anchored before the unrouted frame.
+  const ProtocolConfig config = MakeConfig(6, 2);
+  CollectorOptions options;
+  options.max_pending_batches_total = 2;
+  auto collector = MustCreate(options);
+  auto handle = collector->Register("c", ProtocolKind::kInpHT, config);
+  ASSERT_TRUE(handle.ok());
+  auto server = MustStart(collector.get());
+  engine::IngestBudget* budget = collector->shared_budget().get();
+  ASSERT_NE(budget, nullptr);
+  ASSERT_TRUE(budget->TryAcquire());
+  ASSERT_TRUE(budget->TryAcquire());
+
+  auto encoder = CreateProtocol(ProtocolKind::kInpHT, config);
+  ASSERT_TRUE(encoder.ok());
+  auto batch = SerializeReportBatch(ProtocolKind::kInpHT, config,
+                                    EncodeReportStream(**encoder, 16, 5));
+  ASSERT_TRUE(batch.ok());
+  auto client = FrameClient::Connect(kLoopback, server->port());
+  ASSERT_TRUE(client.ok());
+  ASSERT_TRUE(client->SendFrame("c", *batch).ok());
+  // Finish() blocks on the verdict, which only Stop() can produce.
+  StatusOr<net::StreamReply> reply = Status::Internal("Finish not returned");
+  std::thread finisher([&] { reply = client->Finish(); });
+
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (ActiveConnections(*collector) < 1 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  // EXPECT, not ASSERT: the finisher thread must be joined below.
+  EXPECT_EQ(ActiveConnections(*collector), 1);
+  // Give the reader a few poll periods in the wait. The verdict does not
+  // depend on it: a reader not yet at the gate still reads the buffered
+  // frame, then finds the stop flag set.
+  std::this_thread::sleep_for(5 * IngestServer::kBudgetPoll);
+
+  const auto stop_start = std::chrono::steady_clock::now();
+  EXPECT_TRUE(server->Stop().ok());
+  EXPECT_LT(std::chrono::steady_clock::now() - stop_start,
+            std::chrono::seconds(2));
+  finisher.join();
+  budget->Release();
+  budget->Release();
+
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  EXPECT_FALSE(reply->status.ok());
+  EXPECT_EQ(reply->stream_offset, 0u);
+  EXPECT_NE(reply->status.message().find("IngestServer: server is stopping"),
+            std::string::npos)
+      << reply->status.ToString();
+  EXPECT_EQ(
+      NetCounter(*collector,
+                 "ldpm_net_error_replies_total{code=\"FailedPrecondition\"}"),
+      1u);
+  EXPECT_EQ(NetCounter(*collector, "ldpm_net_frames_routed_total"), 0u);
+  auto absorbed = handle->ReportsAbsorbed();
+  ASSERT_TRUE(absorbed.ok());
+  EXPECT_EQ(*absorbed, 0u);
+}
+
 TEST(IngestServer, EmptyStreamAndEmptyPayloadFramesAreFine) {
   auto collector = MustCreate();
   ASSERT_TRUE(

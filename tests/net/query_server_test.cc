@@ -53,7 +53,7 @@ class QueryServerTest : public ::testing::Test {
                                       /*fast_path=*/false)
                     .ok());
     ASSERT_TRUE(handle_.Flush().ok());
-    auto server = QueryServer::Start(collector_.get(), QueryServerOptions());
+    auto server = QueryServer::Start(collector_.get());
     ASSERT_TRUE(server.ok()) << server.status().ToString();
     server_ = *std::move(server);
   }
@@ -223,6 +223,33 @@ TEST_F(QueryServerTest, CollectionsEndpointListsRegistrations) {
   EXPECT_NE(
       body.find("{\"id\":\"d2\",\"protocol\":\"MargPS\",\"d\":3,\"k\":1}"),
       std::string::npos);
+}
+
+TEST_F(QueryServerTest, ControlBytesInCollectionIdsAreJsonEscaped) {
+  // Register accepts any 1..N-byte id; every JSON echo of it must escape
+  // control bytes (RFC 8259 §7) or the body stops being JSON.
+  const std::string id = "a\tb\x01";
+  auto handle = collector_->Register(id, ProtocolKind::kInpHT,
+                                     MakeConfig(3, 1));
+  ASSERT_TRUE(handle.ok());
+  ASSERT_TRUE(handle->IngestPopulation(SkewedRows(3, 500, 5),
+                                       /*fast_path=*/false)
+                  .ok());
+  ASSERT_TRUE(handle->Flush().ok());
+  const std::string escaped = "\"a\\tb\\u0001\"";
+
+  const std::string collections = ResponseBody(Get("/v1/collections"));
+  EXPECT_NE(collections.find("{\"id\":" + escaped + ",\"protocol\":"),
+            std::string::npos)
+      << collections;
+  EXPECT_EQ(collections.find_first_of("\t\x01"), std::string::npos);
+
+  const std::string marginal =
+      Get("/v1/marginal?collection=" + id + "&attrs=0");
+  EXPECT_NE(marginal.find("HTTP/1.1 200 OK"), std::string::npos) << marginal;
+  const std::string body = ResponseBody(marginal);
+  EXPECT_EQ(body.rfind("{\"collection\":" + escaped + ",", 0), 0u) << body;
+  EXPECT_EQ(body.find_first_of("\t\x01"), std::string::npos);
 }
 
 TEST_F(QueryServerTest, NonBinaryCategoricalCollectionIs400WithReadPathHint) {

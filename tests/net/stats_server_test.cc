@@ -30,7 +30,6 @@ using net::IngestServer;
 using net::IngestServerOptions;
 using net::Socket;
 using net::StatsServer;
-using net::StatsServerOptions;
 using test::HttpGet;
 using test::HttpRequest;
 using test::MakeConfig;
