@@ -232,10 +232,19 @@ void HttpRequestSeeds() {
                "Host: localhost\r\n\r\n"));
   Corpus("http_request", "stats", Bytes("GET /stats HTTP/1.1\r\n\r\n"));
   Corpus("http_request", "post", Bytes("POST /v1/x HTTP/1.1\r\n\r\n"));
+  Corpus("http_request", "escaped_query",
+         Bytes("GET /v1/marginal?collection=a%09b%25&attrs=0%2C1 HTTP/1.1"
+               "\r\n\r\n"));
   Regression("http_request", "bare_question_mark",
              Bytes("GET ? HTTP/1.1\r\n\r\n"));
   Regression("http_request", "no_version", Bytes("GET /\r\n\r\n"));
   Regression("http_request", "empty_pairs", Bytes("GET /p?&&=&k&=v H\r\n\r\n"));
+  // Malformed escapes — cut short mid-value, non-hex, cut short at the
+  // very end of the query: a clean parse failure at the first, never a
+  // read past the query.
+  Regression("http_request", "malformed_escape",
+             Bytes("GET /v1/marginal?collection=a%4&x=%zz&y=% HTTP/1.1"
+                   "\r\n\r\n"));
 }
 
 void ReplyStreamSeeds() {

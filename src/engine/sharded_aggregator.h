@@ -3,8 +3,9 @@
 // The paper describes a single logical collector of user reports; at
 // production scale the collector must absorb reports from millions of users
 // at hardware speed. Every protocol's aggregator state is trivially
-// mergeable — additive count/coefficient accumulators or append-only report
-// logs (MarginalProtocol::MergeFrom) — so ingest parallelizes by sharding:
+// mergeable — additive count/coefficient accumulators, or InpOLH's
+// append-only report log (MarginalProtocol::MergeFrom) — so ingest
+// parallelizes by sharding:
 //
 //   * the engine owns S independent MarginalProtocol instances, one per
 //     shard, each with a deterministically derived Rng stream;

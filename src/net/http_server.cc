@@ -1,5 +1,6 @@
 #include "net/http_server.h"
 
+#include <string>
 #include <utility>
 
 namespace ldpm {
@@ -28,9 +29,11 @@ bool ParseRequestLine(std::string_view request, std::string_view& method,
 
 }  // namespace
 
-bool ParseHttpRequestHead(std::string_view head, HttpRequest* out) {
+Status ParseHttpRequestHead(std::string_view head, HttpRequest* out) {
   std::string_view method, target;
-  if (!ParseRequestLine(head, method, target)) return false;
+  if (!ParseRequestLine(head, method, target)) {
+    return Status::InvalidArgument("malformed request");
+  }
   out->method = std::string(method);
   const size_t q = target.find('?');
   out->path = std::string(target.substr(0, q));
@@ -39,10 +42,48 @@ bool ParseHttpRequestHead(std::string_view head, HttpRequest* out) {
   } else {
     out->query.clear();
   }
-  return !out->path.empty();
+  if (out->path.empty()) return Status::InvalidArgument("malformed request");
+  size_t bad_offset = 0;
+  if (!PercentDecode(out->query, &bad_offset).has_value()) {
+    return Status::InvalidArgument(
+        "malformed percent-escape at query byte " +
+        std::to_string(bad_offset));
+  }
+  return Status::OK();
+}
+
+std::optional<std::string> PercentDecode(std::string_view text,
+                                         size_t* bad_offset) {
+  const auto hex = [](char c) -> int {
+    if (c >= '0' && c <= '9') return c - '0';
+    if (c >= 'a' && c <= 'f') return c - 'a' + 10;
+    if (c >= 'A' && c <= 'F') return c - 'A' + 10;
+    return -1;
+  };
+  std::string out;
+  out.reserve(text.size());
+  for (size_t i = 0; i < text.size(); ++i) {
+    if (text[i] != '%') {
+      out.push_back(text[i]);
+      continue;
+    }
+    const int high = i + 1 < text.size() ? hex(text[i + 1]) : -1;
+    const int low = i + 2 < text.size() ? hex(text[i + 2]) : -1;
+    if (high < 0 || low < 0) {
+      if (bad_offset != nullptr) *bad_offset = i;
+      return std::nullopt;
+    }
+    out.push_back(static_cast<char>(high * 16 + low));
+    i += 2;
+  }
+  return out;
 }
 
 std::optional<std::string> HttpRequest::Param(std::string_view key) const {
+  const auto decoded = [](std::string_view component) {
+    auto text = PercentDecode(component);
+    return text.has_value() ? *std::move(text) : std::string(component);
+  };
   std::string_view rest = query;
   while (!rest.empty()) {
     const size_t amp = rest.find('&');
@@ -53,10 +94,9 @@ std::optional<std::string> HttpRequest::Param(std::string_view key) const {
     const size_t eq = pair.find('=');
     const std::string_view name =
         eq == std::string_view::npos ? pair : pair.substr(0, eq);
-    if (name == key) {
-      return eq == std::string_view::npos
-                 ? std::string()
-                 : std::string(pair.substr(eq + 1));
+    if (decoded(name) == key) {
+      return eq == std::string_view::npos ? std::string()
+                                          : decoded(pair.substr(eq + 1));
     }
   }
   return std::nullopt;
@@ -181,8 +221,11 @@ void HttpServer::ServeOne(Socket socket) {
     response = {400, "text/plain", "request too large\n"};
   } else if (timed_out) {
     response = {408, "text/plain", "request timed out\n"};
-  } else if (!complete || !ParseHttpRequestHead(request, &parsed)) {
+  } else if (!complete) {
     response = {400, "text/plain", "malformed request\n"};
+  } else if (Status head = ParseHttpRequestHead(request, &parsed);
+             !head.ok()) {
+    response = {400, "text/plain", head.message() + "\n"};
   } else if (parsed.method != "GET") {
     response = {405, "text/plain", "only GET is supported\n"};
   } else {

@@ -17,14 +17,16 @@
 //     read. A head that exceeds max_request_bytes without terminating is
 //     answered `400 Bad Request` ("request too large"); one that does not
 //     parse as a request line is answered `400` ("malformed request").
+//   * The query string is split off the path; HttpRequest::Param
+//     percent-decodes `%XX` in names and values ('+' stays literal). A
+//     query holding a malformed escape (`%`, `%4`, `%zz`) is answered
+//     `400` naming the byte offset of its '%' before the handler runs.
 //   * With a positive idle_timeout, a connection that goes silent
 //     mid-head for longer than the timeout is answered
 //     `408 Request Timeout` and closed — the slowloris defense.
 //   * No keep-alive: every response carries `Connection: close` and the
 //     server closes after writing it. A pipelined second request on the
 //     same connection is ignored by design.
-//   * The query string is split off the path and exposed to the handler
-//     (HttpRequest::Param); no percent-decoding is performed.
 
 #ifndef LDPM_NET_HTTP_SERVER_H_
 #define LDPM_NET_HTTP_SERVER_H_
@@ -76,11 +78,20 @@ struct HttpRequest {
   /// Raw query string after '?', possibly empty ("collection=x&attrs=0,2").
   std::string query;
 
-  /// Value of `key` in the query string ("k=v" pairs joined by '&');
-  /// nullopt when absent. A bare "k" (no '=') yields an empty value. No
-  /// percent-decoding. The first occurrence wins.
+  /// Value of `key` in the query string ("k=v" pairs joined by '&'),
+  /// percent-decoded; `key` is matched against the decoded names. nullopt
+  /// when absent. A bare "k" (no '=') yields an empty value. The first
+  /// occurrence wins. A malformed escape (only reachable on a request the
+  /// server did not parse) is kept as its literal bytes.
   std::optional<std::string> Param(std::string_view key) const;
 };
+
+/// Decodes every `%XX` escape (hex digits in either case) of one query
+/// component; every other byte, '+' included, is literal. nullopt on a
+/// malformed escape — a '%' not followed by two hex digits — with
+/// `*bad_offset` (if given) set to the offset of that '%' in `text`.
+std::optional<std::string> PercentDecode(std::string_view text,
+                                         size_t* bad_offset = nullptr);
 
 /// What a handler returns; rendered with Content-Length and
 /// `Connection: close`.
@@ -91,13 +102,15 @@ struct HttpResponse {
 };
 
 /// Parses a collected request head ("METHOD SP TARGET SP VERSION..."),
-/// splitting the query string off the path, into `out`. Returns false on
-/// anything that does not parse as a request line with a non-empty path —
-/// the server answers 400 without consulting the handler. Accepts any
+/// splitting the query string off the path, into `out`. InvalidArgument
+/// on anything that does not parse as a request line with a non-empty
+/// path ("malformed request"), or whose query holds a malformed percent
+/// escape (the message names the query byte offset) — the server answers
+/// 400 with that message without consulting the handler. Accepts any
 /// method token (the GET-only policy is enforced separately, as 405).
 /// Pure and total over arbitrary bytes: this is the request-parsing seam
 /// the fuzz_http_request harness drives.
-bool ParseHttpRequestHead(std::string_view head, HttpRequest* out);
+Status ParseHttpRequestHead(std::string_view head, HttpRequest* out);
 
 /// The standard reason phrase for the codes this layer emits; "Status"
 /// for anything unrecognized (the response stays well-formed).

@@ -443,8 +443,7 @@ IngestServer::StreamOutcome IngestServer::ServeStream(Socket& socket) {
   uint8_t hello[9];
   hello[0] = kReplyHello;
   WriteU64(context.start_offset, hello + 1);
-  Status hello_write =
-      socket.WriteAll(hello, sizeof(hello), options_.idle_timeout);
+  Status hello_write = WriteUnlessStopping(socket, hello, sizeof(hello));
   if (!hello_write.ok()) {
     ReleaseSession(token);
     outcome.status = Status::Unavailable("writing hello record: " +
@@ -563,8 +562,7 @@ IngestServer::StreamOutcome IngestServer::ServeStreamBody(
       // Count before writing, so the counter never trails an ack the
       // client holds; a failed write ends the connection right below.
       acks_sent_->Increment();
-      Status ack_write =
-          socket.WriteAll(ack, sizeof(ack), options_.idle_timeout);
+      Status ack_write = WriteUnlessStopping(socket, ack, sizeof(ack));
       if (!ack_write.ok()) {
         outcome.status =
             Status::Unavailable("writing ack record: " + ack_write.message());
@@ -644,7 +642,30 @@ void IngestServer::SendReply(Socket& socket, const StreamOutcome& outcome,
     reply.push_back(static_cast<uint8_t>(message.size() >> 8));
     reply.insert(reply.end(), message.begin(), message.end());
   }
-  (void)socket.WriteAll(reply.data(), reply.size());
+  (void)WriteUnlessStopping(socket, reply.data(), reply.size());
+}
+
+Status IngestServer::WriteUnlessStopping(Socket& socket, const uint8_t* data,
+                                         size_t size) {
+  const auto start = std::chrono::steady_clock::now();
+  size_t sent = 0;
+  for (;;) {
+    auto n = socket.WriteSome(data + sent, size - sent, kBudgetPoll);
+    if (!n.ok()) return n.status();
+    sent += *n;
+    if (sent == size) return Status::OK();
+    if (stopping()) {
+      return Status::FailedPrecondition("IngestServer: server is stopping");
+    }
+    if (options_.idle_timeout.count() > 0 &&
+        std::chrono::steady_clock::now() - start >= options_.idle_timeout) {
+      return Status::DeadlineExceeded(
+          "send: timed out after " +
+          std::to_string(options_.idle_timeout.count()) + "ms with " +
+          std::to_string(size - sent) + " of " + std::to_string(size) +
+          " bytes unsent");
+    }
+  }
 }
 
 }  // namespace net

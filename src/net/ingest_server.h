@@ -34,11 +34,14 @@
 //   * Idle reaping. With idle_timeout set, a connection that delivers no
 //     bytes within the deadline is reaped with an error reply instead of
 //     holding a connection-cap slot forever (half-open clients); the same
-//     deadline bounds the server's hello and ack writes.
+//     deadline bounds the server's hello, ack and reply writes.
 //   * Graceful stop. Stop() stops accepting, wakes and joins every
 //     reader at a frame boundary, then runs Collector::Drain() — so a
 //     server shutdown flushes every queued batch and (when configured)
-//     writes the shutdown checkpoint. The destructor calls Stop().
+//     writes the shutdown checkpoint. Every server write runs in
+//     kBudgetPoll slices and gives up once Stop() has begun, so a client
+//     that never reads its acks or reply cannot wedge its reader or
+//     Stop(). The destructor calls Stop().
 //
 // The Collector must outlive the server. See docs/wire-format.md
 // ("Network stream framing") for the connection protocol bytes and
@@ -190,6 +193,12 @@ class IngestServer {
   Status GateOnBudget();
   void SendReply(Socket& socket, const StreamOutcome& outcome,
                  uint64_t frames, uint64_t bytes);
+  /// Writes all `size` bytes in kBudgetPoll slices, re-checking the stop
+  /// flag after each slice that leaves bytes unsent: FailedPrecondition
+  /// once the server is stopping, DeadlineExceeded past a positive
+  /// idle_timeout.
+  Status WriteUnlessStopping(Socket& socket, const uint8_t* data,
+                             size_t size);
   /// Joins and drops connections whose readers have finished (called from
   /// the accept thread so a long-lived server does not accumulate them).
   void ReapFinishedLocked() LDPM_REQUIRES(connections_mu_);

@@ -60,6 +60,30 @@ Status WaitReady(int fd, short events, std::chrono::milliseconds timeout,
   }
 }
 
+/// One non-blocking send; when the send buffer is full, waits up to
+/// `timeout` (<= 0: without limit) for space and tries once more. Returns
+/// the bytes the kernel accepted, 0 if the buffer stayed full.
+StatusOr<size_t> SendWithin(int fd, const uint8_t* data, size_t size,
+                            std::chrono::milliseconds timeout) {
+  bool waited = false;
+  for (;;) {
+    // MSG_NOSIGNAL: a peer that vanished must surface as a Status the
+    // caller can handle, not a process-wide SIGPIPE.
+    const ssize_t n =
+        ::send(fd, data, size, MSG_NOSIGNAL | MSG_DONTWAIT);
+    if (n >= 0) return static_cast<size_t>(n);
+    if (errno == EINTR) continue;
+    if (errno != EAGAIN && errno != EWOULDBLOCK) {
+      return ErrnoStatus("send", errno);
+    }
+    if (waited) return size_t{0};
+    const Status ready = WaitReady(fd, POLLOUT, timeout, "send");
+    if (ready.code() == StatusCode::kDeadlineExceeded) return size_t{0};
+    if (!ready.ok()) return ready;
+    waited = true;
+  }
+}
+
 Status SetNonBlocking(int fd, bool non_blocking) {
   const int flags = ::fcntl(fd, F_GETFL, 0);
   if (flags < 0) return ErrnoStatus("fcntl(F_GETFL)", errno);
@@ -252,15 +276,6 @@ Status Socket::WriteAll(const uint8_t* data, size_t size,
   const auto deadline = std::chrono::steady_clock::now() + timeout;
   size_t sent = 0;
   while (sent < size) {
-    const ssize_t n = ::send(fd_, data + sent, size - sent,
-                             MSG_NOSIGNAL | MSG_DONTWAIT);
-    if (n > 0) {
-      sent += static_cast<size_t>(n);
-      continue;
-    }
-    if (n < 0 && errno != EINTR && errno != EAGAIN && errno != EWOULDBLOCK) {
-      return ErrnoStatus("send", errno);
-    }
     const auto remaining = std::chrono::duration_cast<std::chrono::milliseconds>(
         deadline - std::chrono::steady_clock::now());
     if (remaining.count() <= 0) {
@@ -269,9 +284,17 @@ Status Socket::WriteAll(const uint8_t* data, size_t size,
           "ms with " + std::to_string(size - sent) + " of " +
           std::to_string(size) + " bytes unsent");
     }
-    LDPM_RETURN_IF_ERROR(WaitReady(fd_, POLLOUT, remaining, "send"));
+    auto n = SendWithin(fd_, data + sent, size - sent, remaining);
+    if (!n.ok()) return n.status();
+    sent += *n;
   }
   return Status::OK();
+}
+
+StatusOr<size_t> Socket::WriteSome(const uint8_t* data, size_t size,
+                                   std::chrono::milliseconds timeout) {
+  LDPM_FAILPOINT("net.socket.write");
+  return SendWithin(fd_, data, size, timeout);
 }
 
 Status Socket::ShutdownWrite() {

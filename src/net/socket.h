@@ -100,6 +100,14 @@ class Socket {
   Status WriteAll(const uint8_t* data, size_t size,
                   std::chrono::milliseconds timeout);
 
+  /// Writes a prefix of the buffer: waits up to `timeout` for send-buffer
+  /// space (<= 0: without limit), then hands the kernel whatever fits.
+  /// Returns the bytes accepted, 0 when the send buffer stayed full for
+  /// the whole timeout. Lets a caller write in slices and re-check its own
+  /// stop condition between them (net::IngestServer's replies).
+  StatusOr<size_t> WriteSome(const uint8_t* data, size_t size,
+                             std::chrono::milliseconds timeout);
+
   /// Half-closes the write side (the client's end-of-stream marker).
   Status ShutdownWrite();
 

@@ -37,48 +37,110 @@ Report InpEmProtocol::Encode(uint64_t user_value, Rng& rng) const {
   return report;
 }
 
+InpEmProtocol::InpEmProtocol(const ProtocolConfig& config,
+                             RandomizedResponse per_bit_rr)
+    : MarginalProtocol(config), per_bit_rr_(per_bit_rr) {
+  if (dense()) dense_.assign(size_t{1} << config.d, 0);
+}
+
 Status InpEmProtocol::Absorb(const Report& report) {
   if (config_.d < 64 && report.value >= (uint64_t{1} << config_.d)) {
     return Status::InvalidArgument("InpEM::Absorb: response outside domain");
   }
-  reports_.push_back(report.value);
+  if (dense()) {
+    ++dense_[report.value];
+  } else {
+    AppendSparse(report.value);
+  }
   NoteAbsorbed(report);
   return Status::OK();
-}
-
-// Grows the report log for `additional` entries while preserving the
-// vector's geometric growth (a bare reserve(size + n) per batch would pin
-// capacity to the exact size and turn repeated batches quadratic).
-void InpEmProtocol::ReserveLog(size_t additional) {
-  const size_t needed = reports_.size() + additional;
-  if (needed <= reports_.capacity()) return;
-  reports_.reserve(std::max(needed, reports_.capacity() * 2));
 }
 
 Status InpEmProtocol::AbsorbWireBatch(const uint8_t* data, size_t size) {
   const int d = config_.d;
   const size_t payload_bytes = (static_cast<size_t>(d) + 7) / 8;
-  // Every record is framed as 4 length bytes + the payload.
-  ReserveLog(size / (4 + payload_bytes));
   const uint64_t value_mask = (uint64_t{1} << d) - 1;
-  WireBatchReader reader(data, size);
-  const uint8_t* record = nullptr;
-  size_t record_size = 0;
-  uint64_t absorbed = 0;
-  Status error = Status::OK();
-  while (reader.Next(record, record_size)) {
-    if (record_size != payload_bytes) {
-      error = Status::InvalidArgument(
-          "InpEM::AbsorbWireBatch: record is " + std::to_string(record_size) +
-          " bytes, expected " + std::to_string(payload_bytes));
-      break;
+  // One record loop per storage kind, so the per-record path does not
+  // re-test which one this aggregator uses.
+  const auto absorb_records = [&](auto&& count_response) {
+    WireBatchReader reader(data, size);
+    const uint8_t* record = nullptr;
+    size_t record_size = 0;
+    uint64_t absorbed = 0;
+    Status error = Status::OK();
+    while (reader.Next(record, record_size)) {
+      if (record_size != payload_bytes) {
+        error = Status::InvalidArgument(
+            "InpEM::AbsorbWireBatch: record is " +
+            std::to_string(record_size) + " bytes, expected " +
+            std::to_string(payload_bytes));
+        break;
+      }
+      count_response(LoadWireWord(record, record_size) & value_mask);
+      ++absorbed;
     }
-    reports_.push_back(LoadWireWord(record, record_size) & value_mask);
-    ++absorbed;
+    if (error.ok()) error = reader.status();
+    NoteAbsorbedBatch(absorbed, static_cast<double>(d));
+    return error;
+  };
+  if (dense()) {
+    uint64_t* const counts = dense_.data();
+    return absorb_records([counts](uint64_t response) { ++counts[response]; });
   }
-  if (error.ok()) error = reader.status();
-  NoteAbsorbedBatch(absorbed, static_cast<double>(d));
-  return error;
+  return absorb_records(
+      [this](uint64_t response) { AppendSparse(response); });
+}
+
+std::vector<InpEmProtocol::ValueCount> InpEmProtocol::RunLengths(
+    std::vector<uint64_t> values) {
+  std::sort(values.begin(), values.end());
+  std::vector<ValueCount> rows;
+  for (uint64_t v : values) {
+    if (!rows.empty() && rows.back().value == v) {
+      ++rows.back().count;
+    } else {
+      rows.push_back({v, 1});
+    }
+  }
+  return rows;
+}
+
+std::vector<InpEmProtocol::ValueCount> InpEmProtocol::MergeTables(
+    const std::vector<ValueCount>& a, const std::vector<ValueCount>& b) {
+  std::vector<ValueCount> merged;
+  merged.reserve(a.size() + b.size());
+  size_t i = 0;
+  size_t j = 0;
+  while (i < a.size() && j < b.size()) {
+    if (a[i].value < b[j].value) {
+      merged.push_back(a[i++]);
+    } else if (b[j].value < a[i].value) {
+      merged.push_back(b[j++]);
+    } else {
+      merged.push_back({a[i].value, a[i].count + b[j].count});
+      ++i;
+      ++j;
+    }
+  }
+  merged.insert(merged.end(), a.begin() + i, a.end());
+  merged.insert(merged.end(), b.begin() + j, b.end());
+  return merged;
+}
+
+std::vector<InpEmProtocol::ValueCount> InpEmProtocol::FoldedTable() const {
+  if (unfolded_.empty()) return table_;
+  return MergeTables(table_, RunLengths(unfolded_));
+}
+
+// Folding once the buffer reaches the table's size keeps the amortized
+// fold cost per response at O(log n), and the buffer's memory within the
+// table's (or the kMinFoldRows floor's).
+void InpEmProtocol::AppendSparse(uint64_t value) {
+  unfolded_.push_back(value);
+  if (unfolded_.size() >= std::max(table_.size(), kMinFoldRows)) {
+    table_ = FoldedTable();
+    unfolded_.clear();
+  }
 }
 
 StatusOr<EmDecodeResult> InpEmProtocol::Decode(uint64_t beta) const {
@@ -89,16 +151,30 @@ StatusOr<EmDecodeResult> InpEmProtocol::Decode(uint64_t beta) const {
   if (k < 1 || k > 20) {
     return Status::InvalidArgument("InpEM: marginal order must be in [1, 20]");
   }
-  if (reports_.empty()) {
+  if (reports_absorbed() == 0) {
     return Status::FailedPrecondition("InpEM: no reports absorbed");
   }
 
   const uint64_t cells = uint64_t{1} << k;
 
   // Observed counts over the 2^k response combinations for beta's bits.
+  // Every partial sum is an integer below 2^53, so the totals are exact
+  // and independent of the order the counts are visited in.
   std::vector<double> observed(cells, 0.0);
-  for (uint64_t r : reports_) observed[ExtractBits(r, beta)] += 1.0;
-  const double n = static_cast<double>(reports_.size());
+  uint64_t total = 0;
+  const auto observe = [&](uint64_t response, uint64_t count) {
+    observed[ExtractBits(response, beta)] += static_cast<double>(count);
+    total += count;
+  };
+  if (dense()) {
+    for (uint64_t v = 0; v < dense_.size(); ++v) {
+      if (dense_[v] != 0) observe(v, dense_[v]);
+    }
+  } else {
+    for (const ValueCount& row : table_) observe(row.value, row.count);
+    for (uint64_t v : unfolded_) observe(v, 1);
+  }
+  const double n = static_cast<double>(total);
   for (double& o : observed) o /= n;
 
   // Channel likelihoods Q(y|z) depend only on the Hamming distance between
@@ -155,7 +231,9 @@ StatusOr<MarginalTable> InpEmProtocol::EstimateMarginal(uint64_t beta) const {
 }
 
 void InpEmProtocol::Reset() {
-  reports_.clear();
+  std::fill(dense_.begin(), dense_.end(), 0);
+  table_.clear();
+  unfolded_.clear();
   ResetBookkeeping();
 }
 
@@ -165,33 +243,110 @@ Status InpEmProtocol::MergeFrom(const MarginalProtocol& other) {
   if (peer == nullptr) {
     return Status::InvalidArgument("InpEM::MergeFrom: type mismatch");
   }
-  // The report log is append-only; decoding histograms the log, so the
-  // concatenation order is immaterial.
-  reports_.insert(reports_.end(), peer->reports_.begin(),
-                  peer->reports_.end());
+  if (dense()) {
+    for (size_t v = 0; v < dense_.size(); ++v) dense_[v] += peer->dense_[v];
+  } else {
+    table_ = MergeTables(FoldedTable(), peer->FoldedTable());
+    unfolded_.clear();
+  }
   MergeBookkeeping(*peer);
   return Status::OK();
 }
 
-// Layout: counts = the packed perturbed d-bit responses, in arrival order.
+// Layout (every d): reals = []; counts = [kCountsLayoutTag, v0, c0, v1, c1,
+// ...], one (response, count) pair per distinct response, responses
+// strictly increasing, every count > 0, counts summing to
+// reports_absorbed.
 void InpEmProtocol::SaveState(AggregatorSnapshot& snapshot) const {
-  snapshot.counts = reports_;
+  snapshot.counts.push_back(kCountsLayoutTag);
+  if (dense()) {
+    for (uint64_t v = 0; v < dense_.size(); ++v) {
+      if (dense_[v] == 0) continue;
+      snapshot.counts.push_back(v);
+      snapshot.counts.push_back(dense_[v]);
+    }
+    return;
+  }
+  const std::vector<ValueCount> rows = FoldedTable();
+  snapshot.counts.reserve(1 + 2 * rows.size());
+  for (const ValueCount& row : rows) {
+    snapshot.counts.push_back(row.value);
+    snapshot.counts.push_back(row.count);
+  }
 }
 
+// Also accepts the legacy log layout written by builds that kept every
+// report (counts = one response per report, in arrival order), so v1 and
+// v2 checkpoint files from those builds restore to identical marginals.
 Status InpEmProtocol::LoadState(const AggregatorSnapshot& snapshot) {
-  if (!snapshot.reals.empty() ||
-      snapshot.counts.size() != snapshot.reports_absorbed) {
-    return Status::InvalidArgument("InpEM::Restore: malformed snapshot");
+  if (!snapshot.reals.empty()) {
+    return Status::InvalidArgument(
+        "InpEM::Restore: snapshot carries " +
+        std::to_string(snapshot.reals.size()) + " reals, expected none");
   }
-  const uint64_t domain_bound =
-      config_.d < 64 ? (uint64_t{1} << config_.d) : ~uint64_t{0};
-  for (uint64_t r : snapshot.counts) {
-    if (config_.d < 64 && r >= domain_bound) {
+  const std::vector<uint64_t>& counts = snapshot.counts;
+  const uint64_t domain_bound = uint64_t{1} << config_.d;
+  std::vector<ValueCount> rows;
+  if (!counts.empty() && counts[0] == kCountsLayoutTag) {
+    if (counts.size() % 2 == 0) {
       return Status::InvalidArgument(
-          "InpEM::Restore: logged response outside domain");
+          "InpEM::Restore: counts layout has even length " +
+          std::to_string(counts.size()) +
+          " (expected the tag plus (response, count) pairs)");
     }
+    rows.reserve(counts.size() / 2);
+    const auto bad_entry = [](const std::string& what, size_t i) {
+      return Status::InvalidArgument("InpEM::Restore: " + what +
+                                     " at counts entry " + std::to_string(i));
+    };
+    uint64_t total = 0;
+    for (size_t i = 1; i < counts.size(); i += 2) {
+      const uint64_t value = counts[i];
+      const uint64_t count = counts[i + 1];
+      if (value >= domain_bound) {
+        return bad_entry("response outside domain", i);
+      }
+      if (!rows.empty() && value <= rows.back().value) {
+        return bad_entry("responses not strictly increasing", i);
+      }
+      if (count == 0) return bad_entry("zero count", i + 1);
+      if (count > snapshot.reports_absorbed - total) {
+        return bad_entry("counts exceed reports_absorbed (" +
+                             std::to_string(snapshot.reports_absorbed) + ")",
+                         i + 1);
+      }
+      total += count;
+      rows.push_back({value, count});
+    }
+    if (total != snapshot.reports_absorbed) {
+      return Status::InvalidArgument(
+          "InpEM::Restore: counts sum to " + std::to_string(total) +
+          ", reports_absorbed is " +
+          std::to_string(snapshot.reports_absorbed));
+    }
+  } else {
+    if (counts.size() != snapshot.reports_absorbed) {
+      return Status::InvalidArgument(
+          "InpEM::Restore: malformed snapshot (log layout with " +
+          std::to_string(counts.size()) + " entries for " +
+          std::to_string(snapshot.reports_absorbed) + " reports)");
+    }
+    for (uint64_t r : counts) {
+      if (r >= domain_bound) {
+        return Status::InvalidArgument(
+            "InpEM::Restore: logged response outside domain");
+      }
+    }
+    rows = RunLengths(counts);
   }
-  reports_ = snapshot.counts;
+
+  if (dense()) {
+    std::fill(dense_.begin(), dense_.end(), 0);
+    for (const ValueCount& row : rows) dense_[row.value] = row.count;
+  } else {
+    table_ = std::move(rows);
+  }
+  unfolded_.clear();
   return Status::OK();
 }
 

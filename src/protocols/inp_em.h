@@ -6,8 +6,13 @@
 // (eps/d)-RR (budget splitting), so the whole d-bit response is eps-LDP by
 // sequential composition. Communication: d bits.
 //
-// Aggregator: to decode a target marginal beta, the reports are projected
-// onto beta's attributes, giving observed counts n_y over the 2^k response
+// Aggregator: the histogram of distinct d-bit responses is a sufficient
+// statistic for every decode, so the aggregator keeps one count per
+// observed response rather than a log of reports: a dense 2^d array for
+// d <= kDenseMaxDimensions, a sorted (value, count) table above that.
+// Memory is O(distinct responses), independent of the number of reports.
+// To decode a target marginal beta, the counts are projected onto beta's
+// attributes, giving observed counts n_y over the 2^k response
 // combinations. Starting from the uniform guess, EM alternates
 //
 //   E: q(z|y) ∝ mu(z) * Q(y|z)     (Q = the known per-bit RR channel)
@@ -47,6 +52,15 @@ struct EmDecodeResult {
 
 class InpEmProtocol final : public MarginalProtocol {
  public:
+  /// Widest domain kept as a dense count array (2^16 counts, 512 KiB);
+  /// wider domains use the sorted (value, count) table.
+  static constexpr int kDenseMaxDimensions = 16;
+
+  /// First entry of a counts-layout snapshot (see SaveState). Every
+  /// logged response is < 2^d <= 2^kMaxDimensions < this tag, so a
+  /// legacy log-layout snapshot can never start with it.
+  static constexpr uint64_t kCountsLayoutTag = ~uint64_t{0};
+
   static StatusOr<std::unique_ptr<InpEmProtocol>> Create(
       const ProtocolConfig& config);
 
@@ -56,7 +70,7 @@ class InpEmProtocol final : public MarginalProtocol {
   Status Absorb(const Report& report) override;
 
   /// Zero-copy wire ingest: each record is the packed d-bit response,
-  /// appended to the report log without materializing Report objects.
+  /// counted without materializing Report objects.
   Status AbsorbWireBatch(const uint8_t* data, size_t size) override;
 
   StatusOr<MarginalTable> EstimateMarginal(uint64_t beta) const override;
@@ -78,15 +92,44 @@ class InpEmProtocol final : public MarginalProtocol {
   Status LoadState(const AggregatorSnapshot& snapshot) override;
 
  private:
-  InpEmProtocol(const ProtocolConfig& config, RandomizedResponse per_bit_rr)
-      : MarginalProtocol(config), per_bit_rr_(per_bit_rr) {}
+  /// One row of the sparse count table.
+  struct ValueCount {
+    uint64_t value;
+    uint64_t count;
+  };
 
-  /// Reserves room for `additional` log entries without breaking the
-  /// vector's amortized geometric growth.
-  void ReserveLog(size_t additional);
+  /// The sparse path folds its buffer of new responses into the table
+  /// once the buffer holds max(table rows, kMinFoldRows) responses.
+  static constexpr size_t kMinFoldRows = 4096;
+
+  InpEmProtocol(const ProtocolConfig& config, RandomizedResponse per_bit_rr);
+
+  bool dense() const { return config_.d <= kDenseMaxDimensions; }
+
+  /// Sorts `values` into one row per distinct value.
+  static std::vector<ValueCount> RunLengths(std::vector<uint64_t> values);
+
+  /// Merges two tables (each strictly increasing by value), adding the
+  /// counts of values present in both.
+  static std::vector<ValueCount> MergeTables(const std::vector<ValueCount>& a,
+                                             const std::vector<ValueCount>& b);
+
+  /// Sparse path: the table with the unfolded responses merged in.
+  std::vector<ValueCount> FoldedTable() const;
+
+  /// Sparse path: buffers one response, folding when the buffer is full.
+  void AppendSparse(uint64_t value);
 
   RandomizedResponse per_bit_rr_;
-  std::vector<uint64_t> reports_;  // packed perturbed d-bit responses
+  /// d <= kDenseMaxDimensions: dense_[v] = reports with response v.
+  std::vector<uint64_t> dense_;
+  /// d > kDenseMaxDimensions: counts per distinct response, strictly
+  /// increasing by value, every count > 0 ...
+  std::vector<ValueCount> table_;
+  /// ... plus the responses absorbed since the last fold (count 1 each,
+  /// unsorted). Bounded by max(table_.size(), kMinFoldRows), so memory
+  /// stays O(distinct responses).
+  std::vector<uint64_t> unfolded_;
 };
 
 }  // namespace ldpm

@@ -100,8 +100,9 @@ struct ProtocolConfig {
 /// without replaying reports.
 ///
 /// Every protocol's aggregator state is a set of additive accumulators
-/// (counts, sign sums) or an append-only report log; both flatten into the
-/// two arrays below. The per-protocol layout is documented at each
+/// (counts, sign sums, InpEM's per-response counts) or, for the InpOLH
+/// baseline, an append-only report log; both flatten into the two arrays
+/// below. The per-protocol layout is documented at each
 /// SaveState() implementation and validated on load.
 struct AggregatorSnapshot {
   /// Protocol display name ("InpHT", ...); guards mismatched restores.
@@ -121,7 +122,8 @@ struct AggregatorSnapshot {
   double total_report_bits = 0.0;
   /// Protocol-specific real-valued accumulators (counts, sign sums).
   std::vector<double> reals;
-  /// Protocol-specific integer accumulators (report counts, report logs).
+  /// Protocol-specific integer accumulators (report counts, InpOLH's
+  /// report log).
   std::vector<uint64_t> counts;
 };
 
@@ -179,7 +181,7 @@ class MarginalProtocol {
   /// aggregator must be the same protocol with a state-compatible
   /// configuration; on error this aggregator is left unchanged. This is the
   /// mergeability property the sharded engine builds on: all aggregator
-  /// state is additive accumulators or append-only report logs.
+  /// state is additive accumulators (or InpOLH's append-only report log).
   virtual Status MergeFrom(const MarginalProtocol& other) = 0;
 
   /// Captures the full aggregator state as a protocol-agnostic snapshot.

@@ -182,6 +182,55 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(ProtocolKindName(info.param));
     });
 
+// InpEM files written by builds that logged every report hold, per shard,
+// counts = that shard's responses in arrival order. Both container
+// versions of such a file restore, at any shard count, to the marginals
+// of a fresh absorb of the same seeded report stream.
+TEST(Checkpoint, InpEmLogLayoutFilesRestoreBitwise) {
+  const ProtocolConfig config = MakeConfig(6, 2);
+  auto reference = CreateProtocol(ProtocolKind::kInpEM, config);
+  ASSERT_TRUE(reference.ok());
+  const std::vector<Report> reports =
+      EncodeReportStream(**reference, 3000, 43);
+  std::vector<AggregatorSnapshot> shards;
+  for (size_t shard = 0; shard < 2; ++shard) {
+    auto empty = CreateProtocol(ProtocolKind::kInpEM, config);
+    ASSERT_TRUE(empty.ok());
+    AggregatorSnapshot snapshot = (*empty)->Snapshot();
+    snapshot.counts.clear();
+    for (size_t i = shard; i < reports.size(); i += 2) {
+      snapshot.counts.push_back(reports[i].value);
+      ++snapshot.reports_absorbed;
+      snapshot.total_report_bits += reports[i].bits;
+    }
+    shards.push_back(std::move(snapshot));
+  }
+  for (const Report& r : reports) {
+    ASSERT_TRUE((*reference)->Absorb(r).ok());
+  }
+
+  auto v1 = EncodeCheckpoint(shards);
+  auto v2 = engine::EncodeCollectorCheckpoint({{"c", shards}});
+  ASSERT_TRUE(v1.ok());
+  ASSERT_TRUE(v2.ok());
+  const std::string path = TestPath("ckpt_inp_em_log_layout.bin");
+  for (const std::vector<uint8_t>* image : {&*v1, &*v2}) {
+    ASSERT_TRUE(WriteBinaryFileAtomic(path, *image).ok());
+    for (int target_shards : {1, 3}) {
+      OneCollection restored =
+          MakeCollector(ProtocolKind::kInpEM, target_shards);
+      ASSERT_TRUE(restored.collector->RestoreFrom(path).ok());
+      auto merged = restored.handle.aggregator().Merged();
+      ASSERT_TRUE(merged.ok()) << merged.status().ToString();
+      EXPECT_EQ((*merged)->reports_absorbed(), reports.size());
+      EXPECT_EQ((*merged)->total_report_bits(),
+                (*reference)->total_report_bits());
+      ExpectBitwiseEqualEstimates(**reference, **merged);
+    }
+  }
+  std::filesystem::remove(path);
+}
+
 TEST(Checkpoint, EmptySnapshotListRoundTrips) {
   const std::vector<uint8_t> image = MustEncode({});
   EXPECT_EQ(image.size(), 20u);  // header only

@@ -6,15 +6,21 @@
 // Collector::IngestFrames. Plus the failure surface: preamble rejection,
 // unknown collection ids with byte-precise offsets, oversized frames,
 // kill-mid-stream partial-frame discard, connection shedding, graceful
-// stop with shutdown-checkpoint durability, and budget backpressure.
+// stop with shutdown-checkpoint durability (also against a client that
+// never reads its acks), and budget backpressure.
 
 #include "net/ingest_server.h"
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <chrono>
 #include <filesystem>
+#include <future>
 #include <string>
 #include <thread>
 #include <vector>
@@ -593,6 +599,85 @@ TEST(IngestServer, StopEndsAReaderWaitingOnASaturatedBudget) {
   auto absorbed = handle->ReportsAbsorbed();
   ASSERT_TRUE(absorbed.ok());
   EXPECT_EQ(*absorbed, 0u);
+}
+
+TEST(IngestServer, StopEndsAReaderBlockedOnAcksTheClientNeverReads) {
+  // A v2 client with a tiny receive buffer streams empty-payload frames
+  // and never reads: the acks fill its receive window and the server's
+  // send buffer until the reader blocks in an ack write. Stop() must still
+  // return promptly — the write gives up once the server is stopping.
+  auto collector = MustCreate();
+  ASSERT_TRUE(
+      collector->Register("c", ProtocolKind::kInpHT, MakeConfig(6, 2)).ok());
+  auto server = MustStart(collector.get());
+
+  net::Socket client(::socket(AF_INET, SOCK_STREAM, 0));
+  ASSERT_TRUE(client.valid());
+  const int receive_buffer = 4096;
+  ASSERT_EQ(::setsockopt(client.fd(), SOL_SOCKET, SO_RCVBUF, &receive_buffer,
+                         sizeof(receive_buffer)),
+            0);
+  // No Nagle delay: every small frame goes out as its own segment.
+  const int no_delay = 1;
+  ASSERT_EQ(::setsockopt(client.fd(), IPPROTO_TCP, TCP_NODELAY, &no_delay,
+                         sizeof(no_delay)),
+            0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(server->port());
+  ASSERT_EQ(::inet_pton(AF_INET, kLoopback, &addr.sin_addr), 1);
+  ASSERT_EQ(::connect(client.fd(), reinterpret_cast<sockaddr*>(&addr),
+                      sizeof(addr)),
+            0);
+  std::vector<uint8_t> opening(net::kPreamble,
+                               net::kPreamble + net::kPreambleBytes);
+  opening.back() = net::kVersionResume;
+  const uint8_t token[8] = {0x2A, 0, 0, 0, 0, 0, 0, 0};
+  opening.insert(opening.end(), token, token + sizeof(token));
+  ASSERT_TRUE(client.WriteAll(opening.data(), opening.size()).ok());
+
+  std::vector<uint8_t> frame;
+  ASSERT_TRUE(AppendCollectionFrame("c", nullptr, 0, frame).ok());
+  // One frame per send, so each server read round routes little and acks.
+  std::atomic<bool> done{false};
+  std::thread streamer([&] {
+    size_t at = 0;
+    while (!done.load(std::memory_order_acquire)) {
+      auto n = client.WriteSome(frame.data() + at, frame.size() - at,
+                                std::chrono::milliseconds(10));
+      if (!n.ok()) return;  // the server reset the connection
+      at = (at + *n) % frame.size();
+    }
+  });
+
+  // The reader counts an ack before writing it, so a counter that stops
+  // rising means the reader is blocked in an ack write.
+  uint64_t acks = 0;
+  int unchanged_polls = 0;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (unchanged_polls < 5 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    const uint64_t now = NetCounter(*collector, "ldpm_net_acks_sent_total");
+    unchanged_polls = (now == acks && now > 0) ? unchanged_polls + 1 : 0;
+    acks = now;
+  }
+  EXPECT_EQ(unchanged_polls, 5) << "acks kept rising: " << acks;
+
+  const auto stop_start = std::chrono::steady_clock::now();
+  auto stopped = std::async(std::launch::async, [&] { return server->Stop(); });
+  EXPECT_EQ(stopped.wait_for(std::chrono::seconds(2)),
+            std::future_status::ready)
+      << "Stop() is wedged on an ack write nobody reads";
+  done.store(true, std::memory_order_release);
+  streamer.join();
+  // Closing with unread data resets the connection, which frees a reader
+  // wedged in a deadline-free write; the assertion above already failed
+  // in that case.
+  client.CloseWithReset();
+  EXPECT_TRUE(stopped.get().ok());
+  EXPECT_LT(std::chrono::steady_clock::now() - stop_start,
+            std::chrono::seconds(10));
 }
 
 TEST(IngestServer, EmptyStreamAndEmptyPayloadFramesAreFine) {

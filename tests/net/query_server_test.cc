@@ -244,8 +244,9 @@ TEST_F(QueryServerTest, ControlBytesInCollectionIdsAreJsonEscaped) {
       << collections;
   EXPECT_EQ(collections.find_first_of("\t\x01"), std::string::npos);
 
+  // A conforming client percent-encodes the control bytes.
   const std::string marginal =
-      Get("/v1/marginal?collection=" + id + "&attrs=0");
+      Get("/v1/marginal?collection=a%09b%01&attrs=0");
   EXPECT_NE(marginal.find("HTTP/1.1 200 OK"), std::string::npos) << marginal;
   const std::string body = ResponseBody(marginal);
   EXPECT_EQ(body.rfind("{\"collection\":" + escaped + ",", 0), 0u) << body;
